@@ -14,7 +14,8 @@ The package implements, from scratch:
   (:mod:`repro.parallelizer`);
 * a runtime substrate — reference interpreter plus a closure-compiled
   engine with batched NumPy tracing (``engine="interp"|"compiled"``),
-  dynamic independence oracle, machine model, real parallel executor
+  dynamic independence oracle, machine model, and a parallel engine
+  that runs proven-parallel loops on a persistent worker pool
   (:mod:`repro.runtime`, CLI: ``repro bench``);
 * workloads (NPB CG, UA, CSparse equivalents), the figure corpus, the
   Section-2 study and the Figure-10 evaluation harness;

@@ -127,7 +127,7 @@ def _execute_plans(args: argparse.Namespace) -> int:
     )
     print(
         f"counters: {c['parallel_activations']} parallel activations, "
-        f"{c['inproc_chunks']} in-proc chunks, {c['mp_chunks']} mp chunks, "
+        f"{c['mp_chunks']} mp chunks, "
         f"{c['serial_fallbacks']} serial fallbacks"
     )
     if c["mp_chunks"]:

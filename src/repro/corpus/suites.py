@@ -482,7 +482,7 @@ EXTENSION_KERNELS: dict[str, CorpusKernel] = {
 # -- parallel-runtime kernels (PR 8) -----------------------------------------
 #
 # These exercise the *execution* side of a PARALLEL verdict: scalar
-# privatization and ordered reductions under the chunked parallel engine
+# privatization and ordered reductions under the parallel engine's chunks
 # (``repro.runtime.parallel``).  They need no index-array property — the
 # writes are direct-indexed — but the reduction kernel's float results
 # must stay byte-identical to sequential execution across any worker

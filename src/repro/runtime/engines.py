@@ -13,12 +13,12 @@ Three engines execute the mini-C IR:
 * ``"parallel"`` — :mod:`repro.runtime.parallel`: the compiled engine
   plus real parallel execution of every loop the planner proves
   PARALLEL, through a validated :class:`~repro.parallelizer.schedule.
-  ParallelSchedule` (chunked in-process, or dispatched to the
-  persistent worker fabric over recycled shared-memory segments — see
+  ParallelSchedule`, dispatched in chunks to the persistent worker
+  fabric over recycled shared-memory segments (see
   :mod:`repro.runtime.fabric`; warm calls pay neither fork nor segment
-  allocation).  Serial loops and unvalidated schedules run on the
-  compiled closures; results are byte-identical to sequential execution
-  by construction.
+  allocation).  Serial loops, unvalidated schedules and activations too
+  short to amortize a dispatch run on the compiled closures; results
+  are byte-identical to sequential execution by construction.
 
 The default is ``"compiled"``; set the environment variable
 ``REPRO_ENGINE=interp`` (or ``=parallel``) to switch globally (every

@@ -4,27 +4,30 @@ Where the compiled engine turns a plan into a pragma, this engine turns
 it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
 :mod:`repro.parallelizer.schedule`); at run time every activation of a
-scheduled loop picks one of two strategies:
+scheduled loop has exactly two outcomes, decided once at the top of the
+loop:
 
-* **in-process chunked execution** — the iteration space splits into
-  contiguous chunks and each chunk runs through the compiled engine's
-  closures (including its NumPy-vectorized fast path when the body is
-  straight-line array assignments).  This is the default on one core
-  and for short trip counts, and is what the differential fuzz suite
-  exercises on every seed: chunking, privatization, and the reduction
-  event fold all run even where forking would never pay off.
-* **multiprocessing over the persistent fabric** — for long
-  activations with ``workers >= 2``, arrays move into shared-memory
-  segments *leased from the process-wide arena* and chunks are
-  dispatched to the process-wide worker pool
-  (:mod:`repro.runtime.fabric`).  The warm path pays neither fork nor
-  segment allocation: the pool survives across ``execute()`` calls and
-  the arena recycles its segments, so a steady-state workload only
-  pays copy-in/copy-out plus task pickling.  Workers rebuild chunk
-  closures from the task's shipped source text + schedule summary and
-  cache them by content fingerprint (inheriting closures through fork
-  only works for a pool created after the arrays moved — i.e. a pool
-  per call, which is exactly the overhead this design removes).
+* **the compiled serial closure** — on a single worker, on a host
+  without ``fork``, and for activations shorter than the dispatch
+  threshold (measured; see
+  :func:`~repro.runtime.perf_model.min_parallel_trips`).  Serial is
+  always a candidate; a parallel dispatch has to earn its place.
+* **a dispatch over the persistent fabric** — arrays move into
+  shared-memory segments *leased from the process-wide arena* and the
+  iteration space, split into contiguous chunks, goes to the
+  process-wide worker pool (:mod:`repro.runtime.fabric`).  The warm
+  path pays neither fork nor segment allocation: the pool survives
+  across ``execute()`` calls and the arena recycles its segments, so a
+  steady-state workload only pays copy-in/copy-out plus task pickling.
+  Workers rebuild chunk closures from the task's shipped source text +
+  schedule summary and cache them by content fingerprint (inheriting
+  closures through fork only works for a pool created after the arrays
+  moved — i.e. a pool per call, which is exactly the overhead this
+  design removes).
+
+Validation harnesses reach the chunk compiler, privatization and the
+reduction event replay on small kernels by lowering the threshold
+(``mp_min_trips=1``); the differential suites do so on every seed.
 
 Sequential semantics are preserved *byte-identically*:
 
@@ -38,7 +41,7 @@ Sequential semantics are preserved *byte-identically*:
   streams in chunk order and replays ``x = x ⊕ value`` sequentially —
   exactly the sequence of operations the sequential engines perform.
 * **failures roll back**: written arrays are snapshotted per
-  activation; any error during parallel execution restores the
+  dispatch; any error during parallel execution restores the
   snapshot and replays the loop serially, reproducing the sequential
   error (and its partial effects) exactly.  Program errors replay
   silently, like the compiled engine's vectorized-path fallback;
@@ -61,17 +64,18 @@ static → inspector → executor pipeline of ROADMAP direction 3: loops
 whose verdict is *unknown* (the dependence was not refuted — never
 loops rejected for loop-carried scalars) additionally carry an
 :class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
-access algebra the static tests consume.  At dispatch time the
-activation first passes the ``inspect_min_trips`` amortization gate
-(measured, bounded, monotone-safe — see
-:func:`~repro.runtime.perf_model.min_inspect_trips`), then the
+access algebra the static tests consume.  An activation long enough
+for a dispatch must then pass the ``inspect_min_trips`` amortization
+gate (measured, bounded, monotone-safe — see
+:func:`~repro.runtime.perf_model.min_inspect_trips`) and the
 content-addressed inspection itself; only a *passing* inspection lets
-the activation onto the parallel strategies, through the same validated
-schedule machinery as the static tier.  A refusing, unevaluable, or
-faulted inspection (sites ``engine.inspector.cache`` /
+the activation onto the fabric, through the same validated schedule
+machinery as the static tier.  A refusing, unevaluable, or faulted
+inspection (sites ``engine.inspector.cache`` /
 ``engine.inspector.predicate``) runs the loop serially — a wrong
 parallel dispatch is impossible by construction, only a slow serial
-one.
+one.  Activations below the dispatch threshold are never inspected:
+their answer could not change the outcome.
 """
 
 from __future__ import annotations
@@ -109,16 +113,16 @@ from repro.runtime.perf_model import (
 #: loops only; ``"hybrid"`` adds runtime-inspected unknown-verdict loops
 TIERS = ("static", "hybrid")
 
-#: reserved environment keys (never valid mini-C identifiers)
+#: reserved environment keys (never valid mini-C identifiers); only
+#: fabric workers bind the chunk keys
 PAR_KEY = "__par.run__"
 _RED_KEY = "__par.events__"
 _CLB = "__par.chunk.lb__"
 _CUB = "__par.chunk.ub__"
-_RESERVED = (PAR_KEY, _RED_KEY, _CLB, _CUB)
 
 #: compatibility ceiling on the dispatch threshold: below this trip
-#: count the in-process chunked strategy runs unless a *measured* warm
-#: dispatch cost says the fabric is cheap enough (see
+#: count a scheduled loop runs its serial closure unless a *measured*
+#: warm dispatch cost says the fabric is cheap enough (see
 #: :func:`repro.runtime.perf_model.min_parallel_trips` — measurement
 #: can lower the threshold, never raise it above this ceiling).
 MP_MIN_TRIPS = MP_MIN_TRIPS_CEILING
@@ -206,14 +210,13 @@ class _ChunkCompiler(_Compiler):
 class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time."""
 
-    __slots__ = ("label", "sched", "serial", "chunk", "var", "step", "cost", "inspector")
+    __slots__ = ("label", "sched", "serial", "var", "step", "cost", "inspector")
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
         serial: Callable[[dict, _Rt], Any],
-        chunk: Callable[[dict, _Rt], Any],
         var: str,
         step: int,
         cost: int,
@@ -222,7 +225,6 @@ class _ScheduledLoop:
         self.label = label
         self.sched = sched
         self.serial = serial
-        self.chunk = chunk
         self.var = var
         self.step = step
         self.cost = cost
@@ -249,22 +251,10 @@ class _ParCompiler(_Compiler):
         sched = self.schedules.get(s.label)
         if sched is None:
             return serial
-        cc = _ChunkCompiler(self.func, sched)
-        chunk = cc._loop(
-            SLoop(
-                var=s.var,
-                lb=IVar(_CLB),
-                ub=IVar(_CUB),
-                step=s.step,
-                body=s.body,
-                label=s.label + "@chunk",
-            )
-        )
         sl = _ScheduledLoop(
             s.label,
             sched,
             serial,
-            chunk,
             s.var,
             s.step,
             len(s.body) + 1,
@@ -274,15 +264,15 @@ class _ParCompiler(_Compiler):
         lbf = self.expr(s.lb)
         ubf = self.expr(s.ub)
         step = s.step
-        var = s.var
         cost = sl.cost
         red_names = tuple(r.name for r in sched.reductions)
 
         def par_loop(env: dict, rt: _Rt) -> Any:
             run = env.get(PAR_KEY)
-            if run is None or rt.observe is not None:
-                # tracing observes sequential iteration order; the
-                # oracle drives the compiled closures directly
+            if run is None or rt.observe is not None or run.mp_disabled:
+                # tracing observes sequential iteration order (the
+                # oracle drives the compiled closures directly); a
+                # single worker or a fork-less host has nowhere to go
                 return serial(env, rt)
             lb = _as_int(lbf(env, rt))
             ub = _as_int(ubf(env, rt))
@@ -290,13 +280,12 @@ class _ParCompiler(_Compiler):
                 m = (ub - lb + step - 1) // step if ub > lb else 0
             else:
                 m = (lb - ub - step - 1) // (-step) if lb > ub else 0
-            if m == 0:
-                env[var] = lb
-                return None
             if rt.steps + m * cost > rt.max_steps:
                 return serial(env, rt)  # budget trips mid-loop: serial raises exactly
             if any(name not in env for name in red_names):
                 return serial(env, rt)  # unbound reduction scalar: exact serial error
+            if m < run.mp_min_trips:
+                return serial(env, rt)  # too short to amortize a dispatch
             if sl.inspector is not None and not _inspect_gate(sl, run, env, lb, m):
                 return serial(env, rt)  # hybrid tier: not proven safe at runtime
             return _run_scheduled(sl, run, env, rt, lb, m)
@@ -383,25 +372,18 @@ def _apply_events(sl: _ScheduledLoop, env: dict, events: list) -> None:
 def _run_scheduled(
     sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
 ) -> Any:
+    """Dispatch one activation over the fabric; on any failure roll
+    back and replay it serially."""
     from repro.service import faults
 
-    use_mp = (
-        not run.mp_disabled
-        and m >= run.mp_min_trips
-        and run.workers >= 2
-    )
     snap = None
     try:
         faults.maybe_fail("engine.parallel.worker", run.func_name)
-        if use_mp:
-            run.ensure_pool(env)  # before the snapshot: rebinds arrays to shm views
-            snap = _snapshot(sl, env, rt)
-            events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
-            rt.steps += steps
-            env.update(last_priv)
-        else:
-            snap = _snapshot(sl, env, rt)
-            events = _chunks_inproc(sl, run, env, rt, lb, m)
+        run.ensure_pool(env)  # before the snapshot: rebinds arrays to shm views
+        snap = _snapshot(sl, env, rt)
+        events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
+        rt.steps += steps
+        env.update(last_priv)
         _apply_events(sl, env, events)
         env[sl.var] = lb + m * sl.step
         run.counters["parallel_activations"] += 1
@@ -418,36 +400,13 @@ def _run_scheduled(
             run.counters["serial_fallbacks"] += 1
         if snap is not None:
             _restore(env, rt, snap)
-        for key in (_RED_KEY, _CLB, _CUB):
-            env.pop(key, None)
         # ground truth: the serial replay reproduces sequential
         # semantics exactly, including any error and partial effects
         return sl.serial(env, rt)
 
 
-def _chunks_inproc(
-    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
-) -> list:
-    """Chunked execution on the calling process: same chunking, same
-    event fold, no fork — the strategy the fuzz suite hits on every
-    seed, and the only one on a single-core host."""
-    parts = min(m, max(2, run.workers))
-    events: list = []
-    env[_RED_KEY] = events
-    try:
-        for first, count in ParallelSchedule.chunks(m, parts):
-            env[_CLB] = lb + first * sl.step
-            env[_CUB] = lb + (first + count) * sl.step
-            sl.chunk(env, rt)
-    finally:
-        for key in (_RED_KEY, _CLB, _CUB):
-            env.pop(key, None)
-    run.counters["inproc_chunks"] += parts
-    return events
-
-
 # --------------------------------------------------------------------------
-# the multiprocessing strategy (persistent fabric)
+# fabric dispatch
 # --------------------------------------------------------------------------
 
 
@@ -520,7 +479,6 @@ class _ParRun:
         self._array_spec: dict[str, tuple] = {}  # name -> (seg name, shape, dtype)
         self.counters = {
             "parallel_activations": 0,
-            "inproc_chunks": 0,
             "mp_chunks": 0,
             "serial_fallbacks": 0,
             "pool_spawns": 0,
@@ -588,7 +546,7 @@ class _ParRun:
         scalars = {
             k: v
             for k, v in env.items()
-            if not isinstance(v, np.ndarray) and k not in _RESERVED
+            if not isinstance(v, np.ndarray) and k != PAR_KEY
         }
         budget = rt.max_steps - rt.steps
         header = self.pf.task_headers[sl.label]

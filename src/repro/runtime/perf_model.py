@@ -37,9 +37,11 @@ from repro.workloads.npb_cg import CG_CLASSES, CGClass
 #: The pre-fabric static threshold: with a cold pool per call, a fork
 #: dispatch could not amortize below this trip count.  With the
 #: persistent fabric this becomes a *ceiling* — a measured warm
-#: dispatch cost may lower the threshold, never raise it (the
-#: equivalence and chaos suites rely on the mp path engaging
-#: predictably at this trip count).
+#: dispatch cost may lower the threshold, never raise it, so a fabric
+#: dispatch engages predictably at this trip count.  Below the
+#: threshold a scheduled loop runs its compiled serial closure; the
+#: equivalence and chaos suites reach the fabric on small kernels by
+#: passing a lower ``mp_min_trips``.
 MP_MIN_TRIPS_CEILING = 256
 
 #: Never dispatch below this many trips, however cheap the fabric

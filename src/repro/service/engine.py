@@ -839,7 +839,7 @@ def _parallel_exec_opts() -> dict:
     even the small corpus kernels genuinely cross the persistent
     fabric (pool reuse, arena leasing, worker-side closure caches) —
     with defaults, a 1-CPU host would silently validate only the
-    in-process path.  Byte-identical semantics make the forced width
+    serial closures.  Byte-identical semantics make the forced width
     safe; capping at 4 keeps validation cheap on big hosts."""
     import multiprocessing
 
@@ -933,7 +933,7 @@ def validate_parallel_verdicts(
     With ``engine="parallel"`` each validated kernel is additionally
     *executed* on the parallel engine and its final environment compared
     against the reference interpreter, so the validation exercises the
-    real chunked execution path (the oracle itself always observes
+    real fabric dispatch path (the oracle itself always observes
     sequential iteration order).  Degradation-ladder fallbacks taken
     while validating — e.g. a failed chunk dispatch replayed serially —
     are drained into ``report.health["fallbacks"]``.

@@ -435,8 +435,11 @@ class TestParallelEngineChaos:
         env_ref = k.make_inputs(0)
         run_function(func, env_ref)
         env = k.make_inputs(0)
+        if not HAVE_FORK:
+            pytest.skip("the worker site fires on the fabric dispatch path")
         with faults.injected("engine.parallel.worker:*:1"):
-            execute(func, env, engine="parallel")
+            # small corpus kernel: force the fabric dispatch path
+            execute(func, env, engine="parallel", workers=2, mp_min_trips=8)
         notes = faults.drain_fallback_notes()
         assert [kind for kind, _ in notes] == ["engine:compiled"]
         assert "FaultInjected" in notes[0][1]

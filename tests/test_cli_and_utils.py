@@ -44,6 +44,16 @@ class TestCli:
         # loop (it may still pick up the affine inner loop)
         assert "private(j,j1)" not in out
 
+    def test_parallelize_execute(self, tmp_path, capsys):
+        from repro.corpus import all_kernels
+
+        path = tmp_path / "branch.c"
+        path.write_text(all_kernels()["par_private_branch"].source)
+        argv = ["parallelize", str(path), "--execute", "--size", "64", "--workers", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "counters:" in out and "engines agree: yes" in out
+
     def test_analyze(self, fig9_file, capsys):
         assert main(["analyze", fig9_file, "--vars", "rowptr,count"]) == 0
         out = capsys.readouterr().out

@@ -8,7 +8,9 @@ kernel and corpus kernel:
 
 * identical final environments after plain execution (every array, every
   scalar — including byte-identical float reduction results under the
-  parallel engine's chunked execution);
+  parallel engine's chunked execution, which on fork hosts every loop
+  activation reaches through the worker fabric: ``workers=2``,
+  ``mp_min_trips=1``);
 * identical oracle results for **every** loop label: same
   independent/conflicting verdict, same iteration and access counts, and
   the same per-activation conflict *set* (order may differ — the
@@ -21,6 +23,8 @@ suite.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,15 @@ from repro.runtime import check_loop_independence, execute, run_function
 
 #: every non-reference engine is pinned to the interpreter
 CANDIDATE_ENGINES = ("compiled", "parallel")
+
+#: the parallel leg dispatches every scheduled activation, however
+#: short, so chunking, privatization and the reduction event replay
+#: run on every seed (without fork there is no fabric: serial closures)
+PARALLEL_OPTS = (
+    {"workers": 2, "mp_min_trips": 1}
+    if "fork" in multiprocessing.get_all_start_methods()
+    else {}
+)
 
 
 def _copy_env(env):
@@ -51,7 +64,8 @@ def _assert_all_engines_equal(func, env, context):
     run_function(func, env_i)
     for engine in CANDIDATE_ENGINES:
         env_e = _copy_env(env)
-        execute(func, env_e, engine=engine)
+        opts = PARALLEL_OPTS if engine == "parallel" else {}
+        execute(func, env_e, engine=engine, **opts)
         _assert_env_equal(env_i, env_e, f"{context} [{engine}]")
 
 

@@ -1,8 +1,9 @@
 """The parallel engine's own contract, beyond the differential suite:
 
 * ordered reductions are **byte-identical** to sequential execution
-  (``float.hex`` equality) at every worker count, on both strategies
-  (in-process chunking and multiprocessing over shared memory);
+  (``float.hex`` equality) at every worker count, through the worker
+  fabric on small and large activations alike (``workers=1`` never
+  dispatches and runs the serial closures);
 * scalar privatization: a written-before-read scalar parallelizes, a
   carried scalar derives no schedule and takes the serial path;
 * schedule validation records problems instead of executing invalid
@@ -69,13 +70,20 @@ class TestReductionDeterminism:
     """The reduction event stream replays the exact sequential op order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_inproc_byte_identical(self, workers):
+    def test_small_n_byte_identical(self, workers):
+        if workers > 1 and not HAVE_FORK:
+            pytest.skip("fabric dispatch needs the fork start method")
         func = build_function(REDUCE_SRC)
-        base = _reduce_env(48)  # small: in-process chunked strategy
+        base = _reduce_env(48)  # small: dispatched only at mp_min_trips=1
         ref = _copy(base)
         run_function(func, ref)
+        pf = compile_parallel(func)
         env = _copy(base)
-        run_parallel(func, env, workers=workers)
+        pf.run(env, workers=workers, mp_min_trips=1)
+        if workers == 1:
+            assert pf.last_counters["parallel_activations"] == 0
+        else:
+            assert pf.last_counters["mp_chunks"] == workers
         for name in ("s", "lo", "hi"):
             assert float(env[name]).hex() == float(ref[name]).hex(), name
 

@@ -91,16 +91,14 @@ class TestFigure10:
             assert [p.threads for p in pts] == [2, 4, 6, 8]
 
 
-class TestMeasuredExecutor:
-    def test_small_parallel_spmv_correct(self):
-        """The measured series substitutes the paper's OpenMP testbed —
-        check correctness and that the machinery runs end to end."""
-        from repro.runtime import measure_spmv_speedup
-        from repro.workloads import build_matrix
-        from repro.workloads.npb_cg import CGClass
+class TestMeasuredFigure10:
+    def test_parallel_engine_point(self):
+        """``repro figure10 --measured`` end to end at a tiny size: the
+        CG product loop through the planner and the parallel engine,
+        checked bit-for-bit against the compiled serial engine."""
+        from repro.evaluation import measure_figure10
 
-        A = build_matrix(CGClass("T", 400, 6, 1, 10.0), seed=1)
-        series = measure_spmv_speedup(A, thread_counts=(2,), repeats=2, label="test")
-        assert series.serial_time_s > 0
-        assert len(series.points) == 1
-        assert series.points[0].threads == 2
+        points = measure_figure10(workers=(2,), nrows=200, nnz_per_row=8, repeats=1)
+        assert len(points) == 1
+        assert points[0].workers == 2
+        assert points[0].seconds > 0
