@@ -250,7 +250,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     pf.run(env, workers=args.workers, inspect_min_trips=1)
     res = pf.last_inspections.get(args.loop)
     if res is None:
-        print(f"{args.loop}: loop did not activate on these inputs (0 trips?)")
+        if pf.scheduled[args.loop].vec is not None:
+            print(
+                f"{args.loop}: serial — whole-array body, runs as one NumPy op "
+                "(never inspected or dispatched)"
+            )
+        else:
+            print(f"{args.loop}: loop did not activate on these inputs (0 trips?)")
         return 1
     print(res.describe())
     agree = all(

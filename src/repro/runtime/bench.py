@@ -20,7 +20,10 @@ Reading ``BENCH_runtime.json``:
 
 * ``kernels[*].oracle`` — per-engine seconds for one oracle inspection,
   ``speedup`` = interp/compiled, ``accesses_per_s`` = trace throughput;
-* ``kernels[*].execute`` — plain (untraced) execution, same layout;
+* ``kernels[*].execute`` — plain (untraced) execution, same layout,
+  plus ``parallel_dispatches`` (fabric dispatches made by one parallel
+  ``execute``) and ``whole_array_only`` (every scheduled loop has a
+  whole-array plan — ``--check`` then demands zero dispatches);
 * ``fuzz_sweep`` — total seconds to oracle-check every loop of
   ``seeds`` random kernels per engine;
 * ``parallel_dispatch_overhead_us`` — cold vs warm cost of one
@@ -387,6 +390,21 @@ def _time_execute(func: Any, env_factory: Callable[[], dict[str, Any]], engine: 
     return best
 
 
+def _parallel_dispatches(func: Any, env: dict[str, Any]) -> tuple[int, bool]:
+    """Fabric dispatches made by one parallel ``execute`` of ``func``,
+    and whether every scheduled loop has a whole-array plan (such a
+    kernel must never dispatch: its serial NumPy op wins)."""
+    from repro.runtime import fabric
+    from repro.runtime.engines import execute
+    from repro.runtime.parallel import compile_parallel
+
+    before = fabric.fabric_stats()["dispatches"]
+    execute(func, env, engine="parallel")
+    dispatches = fabric.fabric_stats()["dispatches"] - before
+    scheduled = compile_parallel(func).scheduled.values()
+    return dispatches, all(sl.vec is not None for sl in scheduled)
+
+
 def run_runtime_bench(
     size: int = 20000,
     repeats: int = 3,
@@ -456,6 +474,10 @@ def run_runtime_bench(
             if entry["execute"]["parallel"]["seconds"] > 0
             else 0.0
         )
+        (
+            entry["execute"]["parallel_dispatches"],
+            entry["execute"]["whole_array_only"],
+        ) = _parallel_dispatches(func, env_builder(size))
         entry["engines_agree"] = all(
             reports[e].independent == i.independent
             and reports[e].accesses == i.accesses
@@ -533,8 +555,10 @@ def _fuzz_sweep(seeds: int) -> dict[str, Any]:
 
 def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]:
     """CI gate: the compiled engine must beat the interpreter on every
-    kernel (generous threshold — a real regression, not noise) and the
-    engines must agree on every verdict."""
+    kernel (generous threshold — a real regression, not noise), the
+    engines must agree on every verdict, and a kernel whose every
+    scheduled loop has a whole-array plan must make no fabric
+    dispatch."""
     problems: list[str] = []
     for entry in doc["kernels"]:
         if entry["oracle"]["speedup"] <= min_speedup:
@@ -544,6 +568,14 @@ def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]
             )
         if not entry["engines_agree"]:
             problems.append(f"{entry['name']}: engines disagree on the oracle verdict")
+        ex = entry["execute"]
+        if ex["whole_array_only"] and ex["parallel_dispatches"]:
+            # deterministic on any host: a whole-array op that commits
+            # settles its activation before the dispatch gate
+            problems.append(
+                f"{entry['name']}: {ex['parallel_dispatches']} fabric dispatch(es) "
+                f"although every scheduled loop has a whole-array plan"
+            )
     if not doc["fuzz_sweep"]["verdicts_agree"]:
         problems.append("fuzz sweep: engine verdicts disagree")
     overhead = doc.get("parallel_dispatch_overhead_us") or {}

@@ -246,6 +246,8 @@ class _Compiler:
     def __init__(self, func: IRFunction) -> None:
         self.func = func
         self.array_ids: dict[str, int] = {}
+        #: whole-array plans lowered by :meth:`_loop`, by loop label
+        self.vec_plans: dict[str, _VecPlan] = {}
 
     def _aid(self, name: str) -> int:
         if name not in self.array_ids:
@@ -578,6 +580,8 @@ class _Compiler:
         cost = len(s.body) + 1
         var_dyn = self._var_modified(s.body, var)
         vec = self._vector_plan(s, cost)
+        if vec is not None:
+            self.vec_plans[label] = vec
 
         def loop(env: dict, rt: _Rt) -> Any:
             lb = _as_int(lbf(env, rt))

@@ -16,9 +16,11 @@ Three engines execute the mini-C IR:
   ParallelSchedule`, dispatched in chunks to the persistent worker
   fabric over recycled shared-memory segments (see
   :mod:`repro.runtime.fabric`; warm calls pay neither fork nor segment
-  allocation).  Serial loops, unvalidated schedules and activations too
-  short to amortize a dispatch run on the compiled closures; results
-  are byte-identical to sequential execution by construction.
+  allocation).  Only per-iteration work is dispatched: serial loops,
+  unvalidated schedules, activations too short to amortize a dispatch,
+  and every activation whose whole-array NumPy op commits run on the
+  compiled closures; results are byte-identical to sequential execution
+  by construction.
 
 The default is ``"compiled"``; set the environment variable
 ``REPRO_ENGINE=interp`` (or ``=parallel``) to switch globally (every

@@ -4,18 +4,26 @@ Where the compiled engine turns a plan into a pragma, this engine turns
 it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
 :mod:`repro.parallelizer.schedule`); at run time every activation of a
-scheduled loop has exactly two outcomes, decided once at the top of the
-loop:
+scheduled loop has exactly three outcomes, decided once at the top of
+the loop:
 
-* **the compiled serial closure** — on a single worker, on a host
-  without ``fork``, and for activations shorter than the dispatch
-  threshold (measured; see
-  :func:`~repro.runtime.perf_model.min_parallel_trips`).  Serial is
-  always a candidate; a parallel dispatch has to earn its place.
-* **a dispatch over the persistent fabric** — arrays move into
-  shared-memory segments *leased from the process-wide arena* and the
-  iteration space, split into contiguous chunks, goes to the
-  process-wide worker pool (:mod:`repro.runtime.fabric`).  The warm
+* **the compiled engine's whole-array NumPy op** — whenever the body
+  has a whole-array plan (:class:`~repro.runtime.compiler._VecPlan`,
+  the one the serial closure already lowered) and that plan commits,
+  at any trip count.  A dispatch moves at least the same bytes several
+  times over (copy-in, copy-out, rollback snapshot) and can at best
+  split the op itself across the workers, so no trip count pays for
+  it: serial is always a candidate, and here it always wins.  A
+  declined plan has no effect and falls through to the rules below.
+* **the compiled serial closure, iteration by iteration** — on a
+  single worker, on a host without ``fork``, and for activations
+  shorter than the dispatch threshold (measured; see
+  :func:`~repro.runtime.perf_model.min_parallel_trips`).
+* **a dispatch over the persistent fabric** — only for per-iteration
+  work (a body without a whole-array plan, or one whose plan declined):
+  arrays move into shared-memory segments *leased from the process-wide
+  arena* and the iteration space, split into contiguous chunks, goes to
+  the process-wide worker pool (:mod:`repro.runtime.fabric`).  The warm
   path pays neither fork nor segment allocation: the pool survives
   across ``execute()`` calls and the arena recycles its segments, so a
   steady-state workload only pays copy-in/copy-out plus task pickling.
@@ -27,7 +35,10 @@ loop:
 
 Validation harnesses reach the chunk compiler, privatization and the
 reduction event replay on small kernels by lowering the threshold
-(``mp_min_trips=1``); the differential suites do so on every seed.
+(``mp_min_trips=1``); the differential suites do so on every seed.  A
+whole-array body cannot be pushed onto the fabric that way — its plan
+commits first — so a harness that must dispatch uses a per-iteration
+body (e.g. a private scalar: ``t = b[i] + 1; a[idx[i]] = t;``).
 
 Sequential semantics are preserved *byte-identically*:
 
@@ -74,8 +85,10 @@ machinery as the static tier.  A refusing, unevaluable, or faulted
 inspection (sites ``engine.inspector.cache`` /
 ``engine.inspector.predicate``) runs the loop serially — a wrong
 parallel dispatch is impossible by construction, only a slow serial
-one.  Activations below the dispatch threshold are never inspected:
-their answer could not change the outcome.
+one.  Activations below the dispatch threshold and activations whose
+whole-array op commits are never inspected: the serial path is exact
+and already cheaper than inspection plus dispatch, so the answer could
+not change the outcome.
 """
 
 from __future__ import annotations
@@ -102,6 +115,7 @@ from repro.runtime.compiler import (
     _as_int,
     _Compiler,
     _Rt,
+    _VecPlan,
 )
 from repro.runtime.perf_model import (
     MP_MIN_TRIPS_CEILING,
@@ -210,13 +224,14 @@ class _ChunkCompiler(_Compiler):
 class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time."""
 
-    __slots__ = ("label", "sched", "serial", "var", "step", "cost", "inspector")
+    __slots__ = ("label", "sched", "serial", "vec", "var", "step", "cost", "inspector")
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
         serial: Callable[[dict, _Rt], Any],
+        vec: "_VecPlan | None",
         var: str,
         step: int,
         cost: int,
@@ -225,6 +240,8 @@ class _ScheduledLoop:
         self.label = label
         self.sched = sched
         self.serial = serial
+        #: the serial closure's whole-array plan, if the body has one
+        self.vec = vec
         self.var = var
         self.step = step
         self.cost = cost
@@ -255,6 +272,7 @@ class _ParCompiler(_Compiler):
             s.label,
             sched,
             serial,
+            self.vec_plans.get(s.label),
             s.var,
             s.step,
             len(s.body) + 1,
@@ -266,6 +284,7 @@ class _ParCompiler(_Compiler):
         step = s.step
         cost = sl.cost
         red_names = tuple(r.name for r in sched.reductions)
+        vec = sl.vec
 
         def par_loop(env: dict, rt: _Rt) -> Any:
             run = env.get(PAR_KEY)
@@ -286,6 +305,8 @@ class _ParCompiler(_Compiler):
                 return serial(env, rt)  # unbound reduction scalar: exact serial error
             if m < run.mp_min_trips:
                 return serial(env, rt)  # too short to amortize a dispatch
+            if vec is not None and vec.execute(env, rt, lb, ub, 0):
+                return None  # the whole-array op beats any dispatch
             if sl.inspector is not None and not _inspect_gate(sl, run, env, lb, m):
                 return serial(env, rt)  # hybrid tier: not proven safe at runtime
             return _run_scheduled(sl, run, env, rt, lb, m)

@@ -41,7 +41,8 @@ from repro.workloads.npb_cg import CG_CLASSES, CGClass
 #: dispatch engages predictably at this trip count.  Below the
 #: threshold a scheduled loop runs its compiled serial closure; the
 #: equivalence and chaos suites reach the fabric on small kernels by
-#: passing a lower ``mp_min_trips``.
+#: passing a lower ``mp_min_trips`` (per-iteration bodies only: a
+#: whole-array op that commits never dispatches, at any trip count).
 MP_MIN_TRIPS_CEILING = 256
 
 #: Never dispatch below this many trips, however cheap the fabric

@@ -836,8 +836,9 @@ class BatchEngine:
 def _parallel_exec_opts() -> dict:
     """Tuning for validation-time parallel executes: on fork-capable
     hosts, force at least 2 workers and a low dispatch threshold so
-    even the small corpus kernels genuinely cross the persistent
-    fabric (pool reuse, arena leasing, worker-side closure caches) —
+    even the small corpus kernels' per-iteration loops genuinely cross
+    the persistent fabric (pool reuse, arena leasing, worker-side
+    closure caches; whole-array loops run their NumPy op instead) —
     with defaults, a 1-CPU host would silently validate only the
     serial closures.  Byte-identical semantics make the forced width
     safe; capping at 4 keeps validation cheap on big hosts."""

@@ -587,11 +587,13 @@ class TestInspectorChaos:
     never a wrong (uninspected) parallel dispatch, and the fallback
     must land in batch health."""
 
+    # a per-iteration body (the scalar ``t``): a whole-array body would
+    # run as one NumPy op and never reach the inspector
     SRC = """
     void scat(int a[], int idx[], int b[], int n)
     {
-        int i;
-        for (i = 0; i < n; i++) { a[idx[i]] = b[i] + 1; }
+        int i, t;
+        for (i = 0; i < n; i++) { t = b[i] + 1; a[idx[i]] = t; }
     }
     """
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import main
@@ -17,6 +19,15 @@ from repro.errors import (
 )
 from repro.utils import Table, format_table, indent_block, pluralize
 from tests.conftest import FIG9_SOURCE
+
+
+_SCATTER_TMPL = """
+void scat(int a[], int idx[], int b[], int n)
+{{
+    int i, t;
+    for (i = 0; i < n; i++) {{ {body} }}
+}}
+"""
 
 
 @pytest.fixture()
@@ -53,6 +64,26 @@ class TestCli:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "counters:" in out and "engines agree: yes" in out
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the hybrid tier only inspects on a fork host",
+    )
+    def test_inspect_per_iteration_scatter_refuses(self, tmp_path, capsys):
+        # synthesized indices draw from [0, size): they repeat
+        path = tmp_path / "scat.c"
+        path.write_text(_SCATTER_TMPL.format(body="t = b[i] + 1; a[idx[i]] = t;"))
+        argv = ["inspect", "L1", str(path), "--size", "500", "--workers", "2"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "injectivity" in out and "engines agree: yes" in out
+
+    def test_inspect_whole_array_scatter_is_not_inspected(self, tmp_path, capsys):
+        path = tmp_path / "scat.c"
+        path.write_text(_SCATTER_TMPL.format(body="a[idx[i]] = b[i] + 1;"))
+        argv = ["inspect", "L1", str(path), "--size", "500", "--workers", "2"]
+        assert main(argv) == 1
+        assert "whole-array body" in capsys.readouterr().out
 
     def test_analyze(self, fig9_file, capsys):
         assert main(["analyze", fig9_file, "--vars", "rowptr,count"]) == 0

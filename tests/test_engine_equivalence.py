@@ -35,9 +35,10 @@ from repro.runtime import check_loop_independence, execute, run_function
 #: every non-reference engine is pinned to the interpreter
 CANDIDATE_ENGINES = ("compiled", "parallel")
 
-#: the parallel leg dispatches every scheduled activation, however
-#: short, so chunking, privatization and the reduction event replay
-#: run on every seed (without fork there is no fabric: serial closures)
+#: the parallel leg dispatches every scheduled per-iteration activation,
+#: however short, so chunking, privatization and the reduction event
+#: replay run on every seed (a whole-array activation runs its NumPy op;
+#: without fork there is no fabric: serial closures)
 PARALLEL_OPTS = (
     {"workers": 2, "mp_min_trips": 1}
     if "fork" in multiprocessing.get_all_start_methods()
@@ -356,10 +357,13 @@ class TestHybridTierEquivalence:
         """The cross-segment disjoint-array-sharing generator is the
         natural source of inspector-decidable ``unknown`` kernels: both
         write loops into the shared array are statically serial
-        ("subscript equality not refuted"), pass runtime inspection on
-        every generated input, and dispatch parallel byte-identical to
-        the interpreter."""
+        ("subscript equality not refuted") and pass runtime inspection
+        on every generated input.  End to end, a writer with a
+        whole-array body runs as one NumPy op (never inspected); every
+        other writer is inspected and dispatches parallel — both
+        byte-identical to the interpreter."""
         from repro.parallelizer.planner import plan_function
+        from repro.runtime import inspector
         from repro.runtime.parallel import compile_parallel
         from repro.workloads.generators import disjoint_sharing_kernel
 
@@ -379,13 +383,23 @@ class TestHybridTierEquivalence:
         env = rk.make_inputs(3000 + seed)
         env_i = _copy_env(env)
         run_function(func, env_i)
+        # every shared writer passes inspection over the index maps the
+        # fill loops produce (only the fills write ``offa``/``offb``, so
+        # the interpreter's final state holds the writers' inputs)
+        for lbl in shared_writers:
+            res = inspector.inspect(
+                pf.inspectors[lbl], env_i, pf.fingerprint, 0, env_i["n"]
+            )
+            assert res.parallel, (lbl, res.failed)
         env_h = _copy_env(env)
         pf.run(env_h, workers=2, mp_min_trips=4, inspect_min_trips=1)
         _assert_env_equal(env_i, env_h, f"disjoint-sharing seed {seed} [hybrid]")
+        per_iteration = [l for l in shared_writers if pf.scheduled[l].vec is None]
         c = pf.last_counters
-        assert c["inspection_passes"] == len(shared_writers)
+        assert c["inspections"] == len(per_iteration)
+        assert c["inspection_passes"] == len(per_iteration)
         assert c["inspection_refusals"] == 0
-        assert c["parallel_activations"] >= len(shared_writers)
+        assert c["parallel_activations"] >= len(per_iteration)
 
     def test_disjoint_sharing_not_in_random_kernel_families(self):
         """Adding the sharing generator to _SEGMENT_FAMILIES would
@@ -404,11 +418,13 @@ class TestHybridTierEquivalence:
         to the interpreter."""
         from repro.runtime.parallel import compile_parallel
 
+        # a per-iteration body (the scalar ``t``): a whole-array body
+        # would run as one NumPy op and never reach the inspector
         src = """
         void scat(int a[], int idx[], int b[], int n)
         {
-            int i;
-            for (i = 0; i < n; i++) { a[idx[i]] = b[i] + 1; }
+            int i, t;
+            for (i = 0; i < n; i++) { t = b[i] + 1; a[idx[i]] = t; }
         }
         """
         func = build_function(src)

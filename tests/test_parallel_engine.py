@@ -32,6 +32,7 @@ from repro.runtime import (
     run_parallel,
     schedules_for,
 )
+from repro.runtime import fabric
 from repro.runtime.parallel import MP_MIN_TRIPS
 from repro.service import faults
 
@@ -113,6 +114,91 @@ class TestReductionDeterminism:
             ("s", "+"),
         ]
         assert "t" in sched.private
+
+
+WHOLE_ARRAY_SRC = """
+void vadd(int out[], int x[], int y[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { out[i] = x[i] + y[i]; }
+}
+"""
+
+
+def _vadd_env(n: int) -> dict:
+    rng = np.random.default_rng(5)
+    return {
+        "out": np.zeros(n, dtype=np.int64),
+        "x": rng.integers(-1000, 1000, size=n).astype(np.int64),
+        "y": rng.integers(-1000, 1000, size=n).astype(np.int64),
+        "n": n,
+    }
+
+
+class TestWholeArrayDecision:
+    """A scheduled activation settles on the compiled engine's
+    whole-array NumPy op whenever that op commits; only a declined
+    activation (or a body without one) reaches the fabric or the
+    hybrid tier's inspector."""
+
+    def _run(self, base: dict):
+        func = build_function(WHOLE_ARRAY_SRC)
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func)
+        assert pf.scheduled["L1"].vec is not None
+        env = _copy(base)
+        pf.run(env, workers=2)
+        assert np.array_equal(env["out"], ref["out"])
+        return pf
+
+    def test_commit_stays_off_the_fabric(self):
+        before = fabric.fabric_stats()
+        pf = self._run(_vadd_env(4096))
+        after = fabric.fabric_stats()
+        assert pf.last_counters["mp_chunks"] == 0
+        assert pf.last_stats.vec_activations == 1
+        assert after["dispatches"] == before["dispatches"]
+        assert after["arena"]["leases"] == before["arena"]["leases"]
+
+    def test_decline_dispatches(self):
+        if not HAVE_FORK:
+            pytest.skip("fabric dispatch needs the fork start method")
+        base = _vadd_env(4096)
+        # every sum fits int64, but the whole-array bound guard
+        # (max|x| + max|y|) cannot prove it and declines
+        base["x"][0] = base["y"][1] = 2**62 + 1
+        pf = self._run(base)
+        assert pf.last_stats.vec_fallbacks == 1
+        assert pf.last_counters["mp_chunks"] == 2
+
+    def test_hybrid_whole_array_loop_is_not_inspected(self):
+        src = """
+        void scat(int a[], int idx[], int b[], int n)
+        {
+            int i;
+            for (i = 0; i < n; i++) { a[idx[i]] = b[i] + 1; }
+        }
+        """
+        func = build_function(src)
+        n = 4096
+        base = {
+            "a": np.zeros(n, dtype=np.int64),
+            "idx": np.random.default_rng(3).permutation(n).astype(np.int64),
+            "b": np.arange(n, dtype=np.int64),
+            "n": n,
+        }
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func, tier="hybrid")
+        assert "L1" in pf.inspectors  # statically unknown: a hybrid candidate
+        assert pf.scheduled["L1"].vec is not None
+        env = _copy(base)
+        pf.run(env, workers=2, mp_min_trips=8, inspect_min_trips=1)
+        assert pf.last_counters["inspections"] == 0
+        assert pf.last_counters["mp_chunks"] == 0
+        assert pf.last_stats.vec_activations == 1
+        assert np.array_equal(env["a"], ref["a"])
 
 
 class TestPrivatization:
