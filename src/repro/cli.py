@@ -134,13 +134,11 @@ def _execute_plans(args: argparse.Namespace) -> int:
         from repro.runtime import fabric_stats
 
         fs = fabric_stats()
-        cost = fs["dispatch_cost_us"]
         print(
             f"fabric: {fs['pool_spawns']} pool spawn(s), "
             f"{fs['dispatches']} dispatches ({fs['warm_dispatches']} warm), "
             f"arena {fs['arena']['created']} segment(s) created / "
             f"{fs['arena']['recycled']} recycled"
-            + (f", warm dispatch ~{cost:.0f} us" if cost else "")
         )
     print("engines agree:", "yes" if agree else "NO")
     return 0 if agree else 1
@@ -194,11 +192,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    import multiprocessing
+
     import numpy as np
 
     from repro.ir import build_function
     from repro.runtime import run_function
-    from repro.runtime.parallel import compile_parallel
+    from repro.runtime.parallel import compile_parallel, default_workers
 
     if args.kernel is not None:
         from repro.corpus import all_kernels
@@ -247,13 +247,25 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         env = _synth_inputs(func, args.size, args.seed)
     ref = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
     run_function(func, ref)
-    pf.run(env, workers=args.workers, inspect_min_trips=1)
+    workers = args.workers if args.workers and args.workers >= 1 else default_workers()
+    pf.run(env, workers=workers, mp_min_trips=1, inspect_min_trips=1)
     res = pf.last_inspections.get(args.loop)
     if res is None:
         if pf.scheduled[args.loop].vec is not None:
             print(
                 f"{args.loop}: serial — whole-array body, runs as one NumPy op "
                 "(never inspected or dispatched)"
+            )
+        elif workers < 2:
+            print(
+                f"{args.loop}: serial — {workers} worker cannot dispatch, so the "
+                "loop is never inspected (pass --workers 2 or more)"
+            )
+        elif "fork" not in multiprocessing.get_all_start_methods():
+            print(
+                f"{args.loop}: serial — this host has no fork start method, so "
+                "the loop cannot dispatch and is never inspected (--workers "
+                "cannot change that)"
             )
         else:
             print(f"{args.loop}: loop did not activate on these inputs (0 trips?)")

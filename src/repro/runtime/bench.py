@@ -231,7 +231,6 @@ def measure_dispatch_overhead(
         "workers": 2,
         "size": size,
         "pool_spawns": stats["pool_spawns"],
-        "measured_dispatch_cost_us": round(stats["dispatch_cost_us"] or 0.0, 1),
     }
 
 

@@ -78,10 +78,12 @@ def execute(
     selected engine.  Results are engine-independent by construction —
     the equivalence suite pins this.  ``workers`` / ``mp_min_trips`` /
     ``tier`` / ``inspect_min_trips`` tune the parallel engine only
-    (pool width, the trip-count threshold for a fabric dispatch, the
-    static-vs-hybrid dispatch tier, and the hybrid tier's
-    inspection-amortization threshold; all are ignored by the serial
-    engines, which is safe precisely because results are
+    (pool width, the trip-count threshold for a fabric dispatch —
+    default the constant :data:`~repro.runtime.parallel.MP_MIN_TRIPS`
+    — the static-vs-hybrid dispatch tier, and the hybrid tier's
+    inspection threshold, default the constant
+    :data:`~repro.runtime.parallel.INSPECT_MIN_TRIPS`; all are ignored
+    by the serial engines, which is safe precisely because results are
     engine-independent).
 
     Degradation ladder: an *internal* failure of the parallel engine

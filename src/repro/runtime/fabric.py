@@ -33,11 +33,9 @@ once via ``atexit`` *in the owning process* (fork children inherit the
 module dict, so every teardown path is pid-guarded — a pool worker
 exiting must never unlink the parent's segments).
 
-The fabric also measures what ``MP_MIN_TRIPS`` used to hard-code: the
-per-host cost of a warm dispatch (wall-clock round-trip minus the
-slowest worker's own compute), folded into an EWMA that
-:func:`repro.runtime.perf_model.min_parallel_trips` turns into a
-chunk-sizing threshold.
+The fabric decides nothing about *whether* to dispatch: the parallel
+engine gates an activation on the constant trip-count threshold
+:data:`repro.runtime.parallel.MP_MIN_TRIPS` before it gets here.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
     "ShmArena",
     "WorkerFabric",
     "arena",
-    "dispatch_cost_us",
     "fabric_stats",
     "get_fabric",
     "shutdown_fabric",
@@ -266,9 +263,6 @@ class WorkerFabric:
             "warm_dispatches": 0,
             "chunks": 0,
         }
-        #: EWMA of warm dispatch overhead (round-trip wall minus the
-        #: slowest worker's own compute), microseconds.
-        self.dispatch_cost_us: "float | None" = None
 
     @property
     def warm(self) -> bool:
@@ -304,26 +298,16 @@ class WorkerFabric:
         ready to respawn."""
         was_warm = self.warm
         pool = self.ensure()
-        t0 = time.perf_counter()
         try:
             futures = [pool.submit(_fabric_chunk, t) for t in tasks]
             results = [f.result() for f in futures]
         except BrokenProcessPool:
             self.invalidate()
             raise
-        wall_us = (time.perf_counter() - t0) * 1e6
         self.stats["dispatches"] += 1
         self.stats["chunks"] += len(tasks)
         if was_warm:
             self.stats["warm_dispatches"] += 1
-            busiest = max(
-                (r[4] for r in results if r[0] == "ok"), default=0.0
-            )
-            overhead = max(0.0, wall_us - busiest * 1e6)
-            if self.dispatch_cost_us is None:
-                self.dispatch_cost_us = overhead
-            else:
-                self.dispatch_cost_us = 0.5 * self.dispatch_cost_us + 0.5 * overhead
         return results
 
 
@@ -347,17 +331,6 @@ def get_fabric(workers: int) -> WorkerFabric:
     return fab
 
 
-def dispatch_cost_us(workers: "int | None" = None) -> "float | None":
-    """Measured warm-dispatch overhead: the named fabric's EWMA, or the
-    smallest measured EWMA across fabrics, or ``None`` before any warm
-    dispatch has been observed."""
-    if workers is not None:
-        fab = _FABRICS.get(workers)
-        return fab.dispatch_cost_us if fab is not None else None
-    costs = [f.dispatch_cost_us for f in _FABRICS.values() if f.dispatch_cost_us]
-    return min(costs) if costs else None
-
-
 def fabric_stats() -> dict[str, Any]:
     """Aggregate counters across every pool plus arena accounting —
     what tests and batch health sections read."""
@@ -371,7 +344,6 @@ def fabric_stats() -> dict[str, Any]:
     for fab in _FABRICS.values():
         for key in agg:
             agg[key] += fab.stats[key]
-    agg["dispatch_cost_us"] = dispatch_cost_us()
     agg["arena"] = _ARENA.accounting()
     return agg
 

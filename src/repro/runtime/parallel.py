@@ -17,8 +17,7 @@ the loop:
   declined plan has no effect and falls through to the rules below.
 * **the compiled serial closure, iteration by iteration** — on a
   single worker, on a host without ``fork``, and for activations
-  shorter than the dispatch threshold (measured; see
-  :func:`~repro.runtime.perf_model.min_parallel_trips`).
+  shorter than the dispatch threshold (:data:`MP_MIN_TRIPS`).
 * **a dispatch over the persistent fabric** — only for per-iteration
   work (a body without a whole-array plan, or one whose plan declined):
   arrays move into shared-memory segments *leased from the process-wide
@@ -77,11 +76,10 @@ loops rejected for loop-carried scalars) additionally carry an
 :class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
 access algebra the static tests consume.  An activation long enough
 for a dispatch must then pass the ``inspect_min_trips`` amortization
-gate (measured, bounded, monotone-safe — see
-:func:`~repro.runtime.perf_model.min_inspect_trips`) and the
-content-addressed inspection itself; only a *passing* inspection lets
-the activation onto the fabric, through the same validated schedule
-machinery as the static tier.  A refusing, unevaluable, or faulted
+gate (:data:`INSPECT_MIN_TRIPS`) and the content-addressed inspection
+itself; only a *passing* inspection lets the activation onto the
+fabric, through the same validated schedule machinery as the static
+tier.  A refusing, unevaluable, or faulted
 inspection (sites ``engine.inspector.cache`` /
 ``engine.inspector.predicate``) runs the loop serially — a wrong
 parallel dispatch is impossible by construction, only a slow serial
@@ -117,11 +115,6 @@ from repro.runtime.compiler import (
     _Rt,
     _VecPlan,
 )
-from repro.runtime.perf_model import (
-    MP_MIN_TRIPS_CEILING,
-    min_inspect_trips,
-    min_parallel_trips,
-)
 
 #: dispatch tiers of this engine: ``"static"`` executes proven-parallel
 #: loops only; ``"hybrid"`` adds runtime-inspected unknown-verdict loops
@@ -134,12 +127,17 @@ _RED_KEY = "__par.events__"
 _CLB = "__par.chunk.lb__"
 _CUB = "__par.chunk.ub__"
 
-#: compatibility ceiling on the dispatch threshold: below this trip
-#: count a scheduled loop runs its serial closure unless a *measured*
-#: warm dispatch cost says the fabric is cheap enough (see
-#: :func:`repro.runtime.perf_model.min_parallel_trips` — measurement
-#: can lower the threshold, never raise it above this ceiling).
-MP_MIN_TRIPS = MP_MIN_TRIPS_CEILING
+#: dispatch threshold: below this trip count (or ``4 * workers``, if
+#: larger) a scheduled loop runs its compiled serial closure.  A warm
+#: fabric dispatch costs hundreds of microseconds on a 2-CPU host, so
+#: shorter activations cannot amortize it.
+MP_MIN_TRIPS = 256
+
+#: hybrid-tier inspection threshold: a dispatch-eligible activation
+#: shorter than this runs serially uninspected.  A cold inspection
+#: costs hundreds of microseconds too, and is only paid back by a
+#: dispatch long enough to win.
+INSPECT_MIN_TRIPS = 512
 
 _WORKERS_ENV_VAR = "REPRO_WORKERS"
 
@@ -484,14 +482,11 @@ class _ParRun:
         if mp_min_trips is not None:
             self.mp_min_trips = max(1, mp_min_trips)
         else:
-            self.mp_min_trips = max(
-                min_parallel_trips(_fabric.dispatch_cost_us(workers)),
-                4 * workers,
-            )
+            self.mp_min_trips = max(MP_MIN_TRIPS, 4 * workers)
         if inspect_min_trips is not None:
             self.inspect_min_trips = max(1, inspect_min_trips)
         else:
-            self.inspect_min_trips = min_inspect_trips(_inspector.inspect_cost_us())
+            self.inspect_min_trips = INSPECT_MIN_TRIPS
         self.mp_disabled = (
             workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
         )
@@ -502,7 +497,6 @@ class _ParRun:
             "parallel_activations": 0,
             "mp_chunks": 0,
             "serial_fallbacks": 0,
-            "pool_spawns": 0,
             "inspections": 0,
             "inspection_skips": 0,
             "inspection_passes": 0,
@@ -571,7 +565,6 @@ class _ParRun:
         }
         budget = rt.max_steps - rt.steps
         header = self.pf.task_headers[sl.label]
-        spawned_before = fab.stats["pool_spawns"]
         try:
             results = fab.dispatch(
                 [
@@ -589,7 +582,6 @@ class _ParRun:
         except BrokenProcessPool as exc:
             self.mp_disabled = True
             raise _ChunkError(False, "BrokenProcessPool", str(exc)) from exc
-        self.counters["pool_spawns"] += fab.stats["pool_spawns"] - spawned_before
         events: list = []
         last_priv: dict = {}
         steps = 0
@@ -770,10 +762,11 @@ class ParallelFunction:
         """Execute over ``env`` (arrays modified in place), scheduled
         loops distributed over ``workers`` (default
         :func:`default_workers`).  ``mp_min_trips`` overrides the
-        dispatch threshold (measured by default) — validation harnesses
-        lower it to push even small kernels through the fabric.
-        ``inspect_min_trips`` likewise overrides the hybrid tier's
-        inspection-amortization threshold."""
+        dispatch threshold (default ``max(MP_MIN_TRIPS, 4 * workers)``)
+        — validation harnesses lower it to push even small kernels
+        through the fabric.  ``inspect_min_trips`` likewise overrides
+        the hybrid tier's inspection threshold (default
+        :data:`INSPECT_MIN_TRIPS`)."""
         rt = _Rt(trace, observe_label, max_steps)
         self.last_inspections = {}
         run = _ParRun(
@@ -871,6 +864,7 @@ def run_parallel(
 
 
 __all__ = [
+    "INSPECT_MIN_TRIPS",
     "MP_MIN_TRIPS",
     "PAR_KEY",
     "TIERS",

@@ -78,6 +78,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "injectivity" in out and "engines agree: yes" in out
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the hybrid tier only inspects on a fork host",
+    )
+    def test_inspect_short_activation_is_still_inspected(self, tmp_path, capsys):
+        # 200 trips sit below both default thresholds; the command
+        # lowers them, so the loop is inspected rather than "0 trips"
+        path = tmp_path / "scat.c"
+        path.write_text(_SCATTER_TMPL.format(body="t = b[i] + 1; a[idx[i]] = t;"))
+        argv = ["inspect", "L1", str(path), "--size", "200", "--workers", "2"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "injectivity" in out and "engines agree: yes" in out
+
+    def test_inspect_single_worker_names_the_reason(self, tmp_path, capsys):
+        path = tmp_path / "scat.c"
+        path.write_text(_SCATTER_TMPL.format(body="t = b[i] + 1; a[idx[i]] = t;"))
+        argv = ["inspect", "L1", str(path), "--size", "500", "--workers", "1"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "never inspected" in out and "--workers" in out
+        assert "0 trips" not in out
+
     def test_inspect_whole_array_scatter_is_not_inspected(self, tmp_path, capsys):
         path = tmp_path / "scat.c"
         path.write_text(_SCATTER_TMPL.format(body="a[idx[i]] = b[i] + 1;"))

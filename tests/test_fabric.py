@@ -16,6 +16,10 @@ Four contracts, each pinned:
 * **death recovery** — a SIGKILLed pool degrades the activation to the
   byte-identical serial replay and the next dispatch respawns; results
   stay pinned to the interpreter immediately after the death.
+
+The dispatch and inspection gates are pinned at their constant
+boundaries (``MP_MIN_TRIPS``, ``INSPECT_MIN_TRIPS``) after warm
+dispatches.
 """
 
 from __future__ import annotations
@@ -35,15 +39,12 @@ from repro.ir import build_function
 from repro.runtime import fabric, run_function
 from repro.runtime.bench import _PAR_BRANCH_SRC, _par_branch_env
 from repro.runtime.parallel import (
+    INSPECT_MIN_TRIPS,
+    MP_MIN_TRIPS,
     ParallelFunction,
     _function_fingerprint,
     compile_parallel,
     run_parallel,
-)
-from repro.runtime.perf_model import (
-    MP_MIN_TRIPS_CEILING,
-    MP_MIN_TRIPS_FLOOR,
-    min_parallel_trips,
 )
 from repro.service import faults
 from repro.symbolic.expr import clear_memo_tables, memo_stats
@@ -115,17 +116,63 @@ class TestWarmPathReuse:
         warm = stats["warm_dispatches"] - base["warm_dispatches"]
         assert dispatches > 1 and warm == dispatches - 1
 
-    @needs_fork
-    def test_warm_dispatch_cost_is_measured_and_feeds_the_threshold(self):
+
+# --------------------------------------------------------------------------
+# constant thresholds
+# --------------------------------------------------------------------------
+
+_HYBRID_SCATTER_SRC = """
+void scat(int a[], int idx[], int b[], int n)
+{
+    int i, t;
+    for (i = 0; i < n; i++) { t = b[i] + 1; a[idx[i]] = t; }
+}
+"""
+
+
+def _scatter_env(n: int) -> dict:
+    return {
+        "n": n,
+        "a": np.zeros(n, np.int64),
+        "idx": np.random.default_rng(n).permutation(n).astype(np.int64),
+        "b": np.arange(n, dtype=np.int64),
+    }
+
+
+@needs_fork
+class TestConstantThresholds:
+    """The dispatch and inspection gates sit exactly at their constants,
+    also after warm dispatches (nothing measured moves them)."""
+
+    def _warm_up(self) -> None:
         func = build_function(_PAR_BRANCH_SRC)
-        env = _par_branch_env(N)
-        run_parallel(func, env, workers=2)
-        env = _par_branch_env(N)
-        run_parallel(func, env, workers=2)  # at least one warm dispatch
-        cost = fabric.dispatch_cost_us(2)
-        assert cost is not None and cost > 0.0
-        trips = min_parallel_trips(cost)
-        assert MP_MIN_TRIPS_FLOOR <= trips <= MP_MIN_TRIPS_CEILING
+        for _ in range(2):
+            run_parallel(func, _par_branch_env(N), workers=2)
+        assert fabric.fabric_stats()["warm_dispatches"] >= 1
+
+    def test_dispatch_threshold_is_mp_min_trips(self):
+        self._warm_up()
+        func = build_function(_PAR_BRANCH_SRC)
+        for n, want in ((MP_MIN_TRIPS - 1, 0), (MP_MIN_TRIPS, 1)):
+            before = fabric.fabric_stats()["dispatches"]
+            env = _par_branch_env(n)
+            run_parallel(func, env, workers=2)
+            _assert_equal(env, _reference(func, n))
+            assert fabric.fabric_stats()["dispatches"] - before == want, n
+
+    def test_inspection_threshold_is_inspect_min_trips(self):
+        self._warm_up()
+        func = build_function(_HYBRID_SCATTER_SRC)
+        pf = compile_parallel(func, tier="hybrid")
+        assert "L1" in pf.inspectors
+        for n, key in (
+            (INSPECT_MIN_TRIPS - 1, "inspection_skips"),
+            (INSPECT_MIN_TRIPS, "inspections"),
+        ):
+            run_parallel(func, _scatter_env(n), workers=2, tier="hybrid")
+            c = pf.last_counters
+            assert c[key] == 1, (n, c)
+            assert c["inspections"] + c["inspection_skips"] == 1, (n, c)
 
 
 # --------------------------------------------------------------------------
@@ -260,14 +307,6 @@ class TestScheduleCache:
         func = build_function(_PAR_BRANCH_SRC)
         for sched in compile_parallel(func).schedules.values():
             assert ParallelSchedule.from_summary(sched.summary()) == sched
-
-    def test_min_parallel_trips_clamps(self):
-        assert min_parallel_trips(None) == MP_MIN_TRIPS_CEILING
-        assert min_parallel_trips(0.0) == MP_MIN_TRIPS_FLOOR
-        assert min_parallel_trips(1e9) == MP_MIN_TRIPS_CEILING
-        cheap = min_parallel_trips(100.0)
-        pricey = min_parallel_trips(10_000.0)
-        assert MP_MIN_TRIPS_FLOOR <= cheap <= pricey <= MP_MIN_TRIPS_CEILING
 
 
 # --------------------------------------------------------------------------
