@@ -201,16 +201,6 @@ def _nest_labels(loop: SLoop) -> list[str]:
     return labels
 
 
-def _symtab_fingerprint(func: IRFunction) -> str:
-    infos: dict[str, str] = {}
-    tab = func.symtab
-    while tab is not None:
-        for name, info in tab.vars.items():
-            infos.setdefault(name, repr(info))  # innermost declaration wins
-        tab = tab.parent
-    return ";".join(f"{n}={infos[n]}" for n in sorted(infos))
-
-
 # --------------------------------------------------------------------------
 # the manager
 # --------------------------------------------------------------------------
@@ -376,7 +366,7 @@ class PassManager:
         # positions must not share an entry.
         for part in (
             self.identity,
-            _symtab_fingerprint(func),
+            func.symtab.fingerprint(),
             ",".join(_nest_labels(loop)),
             stmt_to_c(loop),
             env_here.fingerprint(),

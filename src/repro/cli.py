@@ -42,8 +42,16 @@ import sys
 from pathlib import Path
 
 
+class _Unreadable(Exception):
+    """A source file that cannot be read; the message is one line."""
+
+
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+        raise _Unreadable(f"cannot read {path}: {reason}") from exc
 
 
 def cmd_parallelize(args: argparse.Namespace) -> int:
@@ -286,6 +294,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     from repro.service import (
         BatchEngine,
+        KernelVerdict,
         ResultCache,
         corpus_requests,
         requests_from_source,
@@ -310,13 +319,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # labels must be unique batch-wide: two files sharing a stem (or a
     # stem colliding with a corpus kernel) get numbered suffixes
     seen = {r.name for r in requests}
+    # an unreadable file is one ERROR row, like an unparsable one: the
+    # batch degrades per file, it never aborts
+    unreadable: list[KernelVerdict] = []
     for path in args.files:
         label = stem = Path(path).stem
         k = 2
         while label in seen:
             label = f"{stem}-{k}"
             k += 1
-        file_requests = requests_from_source(_read(path), label=label, method=args.method)
+        try:
+            source = _read(path)
+        except _Unreadable as exc:
+            payload = {
+                "name": label,
+                "method": args.method,
+                "cache_key": None,
+                "function": None,
+                "error": str(exc),
+            }
+            unreadable.append(KernelVerdict(label, payload))
+            seen.add(label)
+            continue
+        file_requests = requests_from_source(source, label=label, method=args.method)
         seen.update(r.name for r in file_requests)
         seen.add(label)
         requests += file_requests
@@ -339,6 +364,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
             return 2
     try:
         report = engine.run(requests)
+        if unreadable:
+            report.verdicts = sorted(report.verdicts + unreadable, key=lambda v: v.name)
         status = 1 if any(not v.ok for v in report.verdicts) else 0
         if args.validate:
             from repro.service import validate_parallel_verdicts
@@ -635,7 +662,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Unreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

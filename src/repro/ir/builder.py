@@ -13,7 +13,8 @@ Responsibilities:
   (``i = lb``; ``i </<=/>/>= bound``; ``i ± const`` step), falling back to
   ``SWhile`` otherwise;
 * assign stable loop labels in program order: outer loops ``L1, L2...``,
-  children ``L1.1`` etc.
+  children ``L1.1`` etc. — while building, since the IR is frozen (see
+  :mod:`repro.ir.nodes`) and the symbol tables are frozen on return.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def build_program(source_or_ast: "str | A.Program") -> IRProgram:
     funcs: dict[str, IRFunction] = {}
     for f in ast.functions:
         funcs[f.name] = _build_function(f, globals_tab)
+    globals_tab.freeze()
     return IRProgram(funcs, globals_tab)
 
 
@@ -67,7 +69,9 @@ def build_function(source_or_ast: "str | A.FuncDef", name: str | None = None) ->
         ast = parse_function(source_or_ast, name)
     else:
         ast = source_or_ast
-    return _build_function(ast, SymbolTable())
+    globals_tab = SymbolTable()
+    globals_tab.freeze()
+    return _build_function(ast, globals_tab)
 
 
 def _declare(tab: SymbolTable, decl: A.DeclStmt, is_global: bool = False) -> None:
@@ -81,31 +85,30 @@ def _build_function(f: A.FuncDef, globals_tab: SymbolTable) -> IRFunction:
     for p in f.params:
         tab.declare(VarInfo(p.name, ElemType.of_c_type(p.type_name), tuple(p.dims), is_param=True))
     builder = _Builder(tab)
-    body = builder.stmt_list(f.body.stmts)
-    _assign_labels(body)
+    body = tuple(builder.stmt_list(f.body.stmts))
+    tab.freeze()
     return IRFunction(f.name, body, tab)
-
-
-def _assign_labels(body: list[Stmt]) -> None:
-    def visit(stmts: list[Stmt], prefix: str, counter: list[int]) -> None:
-        for s in stmts:
-            if isinstance(s, (SLoop, SWhile)):
-                counter[0] += 1
-                label = f"{prefix}{counter[0]}"
-                s.label = label
-                inner = [0]
-                for b in s.blocks():
-                    visit(b, label + ".", inner)
-            else:
-                for b in s.blocks():
-                    visit(b, prefix, counter)
-
-    visit(body, "L", [0])
 
 
 class _Builder:
     def __init__(self, tab: SymbolTable) -> None:
         self.tab = tab
+        # loop labels: the enclosing loop's label + "." (or "L"), and
+        # how many sibling loops already took a label under it
+        self._label_prefix = "L"
+        self._label_count = 0
+
+    def _labeled_body(self, body: A.Statement) -> tuple[str, list[Stmt]]:
+        """Take the next loop label in program order and lower the loop
+        ``body`` under it, so nested loops number ``<label>.1, ...``."""
+        self._label_count += 1
+        label = f"{self._label_prefix}{self._label_count}"
+        outer = self._label_prefix, self._label_count
+        self._label_prefix, self._label_count = label + ".", 0
+        try:
+            return label, self.statement(body)
+        finally:
+            self._label_prefix, self._label_count = outer
 
     # -- statements ----------------------------------------------------------
     def stmt_list(self, stmts: tuple[A.Statement, ...] | list[A.Statement]) -> list[Stmt]:
@@ -130,14 +133,17 @@ class _Builder:
             pre, cond = self.pure_expr(s.cond)
             if pre:
                 raise IRError(f"{s.loc}: side effects in if-condition are unsupported")
-            return [SIf(cond, self.statement(s.then), self.statement(s.other) if s.other else [], s.loc)]
+            then = tuple(self.statement(s.then))
+            other = tuple(self.statement(s.other)) if s.other else ()
+            return [SIf(cond, then, other, s.loc)]
         if isinstance(s, A.For):
             return self.for_statement(s)
         if isinstance(s, A.While):
             pre, cond = self.pure_expr(s.cond)
             if pre:
                 raise IRError(f"{s.loc}: side effects in while-condition are unsupported")
-            return [SWhile(cond, self.statement(s.body), "", s.loc)]
+            label, body = self._labeled_body(s.body)
+            return [SWhile(cond, tuple(body), label, s.loc)]
         if isinstance(s, A.Return):
             if s.value is None:
                 return [SReturn(None, s.loc)]
@@ -248,7 +254,7 @@ class _Builder:
             pre_t, tval = self.pure_expr(e.then)
             pre_f, fval = self.pure_expr(e.other)
             tmp = IVar(self._fresh_temp())
-            branch = SIf(cond, [*pre_t, SAssign(tmp, tval, e.loc)], [*pre_f, SAssign(tmp, fval, e.loc)], e.loc)
+            branch = SIf(cond, (*pre_t, SAssign(tmp, tval, e.loc)), (*pre_f, SAssign(tmp, fval, e.loc)), e.loc)
             return [*pre_c, branch], tmp
         if isinstance(e, A.Call):
             pre, args = self._pure_args(e.args)
@@ -278,11 +284,11 @@ class _Builder:
 
     # -- loop normalization -----------------------------------------------------------
     def for_statement(self, s: A.For) -> list[Stmt]:
-        body = self.statement(s.body)
+        label, body = self._labeled_body(s.body)
         norm = self._normalize_for(s)
         if norm is not None:
             var, lb, ub, step, pre = norm
-            return [*pre, SLoop(var, lb, ub, step, body, s.pragmas, "", s.loc)]
+            return [*pre, SLoop(var, lb, ub, step, tuple(body), s.pragmas, label, s.loc)]
         # fallback: init; while (cond) { body; step; }
         out: list[Stmt] = []
         if s.init is not None:
@@ -295,7 +301,7 @@ class _Builder:
         step_stmts: list[Stmt] = []
         if s.step is not None:
             step_stmts = self.expr_statement(s.step, s.loc)
-        out.append(SWhile(cond, [*body, *step_stmts], "", s.loc))
+        out.append(SWhile(cond, (*body, *step_stmts), label, s.loc))
         return out
 
     def _normalize_for(

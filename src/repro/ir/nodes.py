@@ -13,10 +13,19 @@ The IR desugars the mini-C AST into a small, analysis-friendly core:
 
 Loops receive stable labels ``L1``, ``L1.1`` ... in program order; the
 reports, tests and benchmarks reference these labels.
+
+The IR is immutable once :func:`~repro.ir.builder.build_function`
+returns: statements and functions are frozen dataclasses with tuple
+bodies, and the symbol table refuses declarations.  That is what lets
+an :class:`IRFunction` print and fingerprint itself at most once
+(:attr:`IRFunction.text`, :attr:`IRFunction.fingerprint`) and lets the
+runtime key its lowering caches on that fingerprint.  Annotation is a
+printer overlay (``function_to_c(func, pragmas=...)``), never a write.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -128,10 +137,20 @@ class ICall(IExpr):
 # --------------------------------------------------------------------------
 
 
+def _frozen_node(cls):
+    """Freeze an IR statement/function dataclass.  ``frozen`` alone
+    would also derive a structural ``__hash__``; IR nodes are never dict
+    keys (caches key on :attr:`IRFunction.fingerprint`), so they stay
+    unhashable."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = None
+    return cls
+
+
 class Stmt:
     __slots__ = ()
 
-    def blocks(self) -> Iterator[list["Stmt"]]:
+    def blocks(self) -> Iterator[tuple["Stmt", ...]]:
         """Nested statement lists (for traversal)."""
         return iter(())
 
@@ -140,7 +159,7 @@ class Stmt:
         return iter(())
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SAssign(Stmt):
     target: IVar | IArrayRef
     value: IExpr
@@ -154,14 +173,14 @@ class SAssign(Stmt):
         return f"{self.target} = {self.value};"
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SIf(Stmt):
     cond: IExpr
-    then: list[Stmt]
-    other: list[Stmt]
+    then: tuple[Stmt, ...]
+    other: tuple[Stmt, ...]
     loc: Loc = field(default_factory=Loc.none)
 
-    def blocks(self) -> Iterator[list[Stmt]]:
+    def blocks(self) -> Iterator[tuple[Stmt, ...]]:
         yield self.then
         yield self.other
 
@@ -172,7 +191,7 @@ class SIf(Stmt):
         return f"if ({self.cond}) ..."
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SLoop(Stmt):
     """Normalized counted loop.
 
@@ -185,12 +204,12 @@ class SLoop(Stmt):
     lb: IExpr
     ub: IExpr
     step: int
-    body: list[Stmt]
+    body: tuple[Stmt, ...]
     pragmas: tuple[str, ...] = ()
     label: str = ""
     loc: Loc = field(default_factory=Loc.none)
 
-    def blocks(self) -> Iterator[list[Stmt]]:
+    def blocks(self) -> Iterator[tuple[Stmt, ...]]:
         yield self.body
 
     def exprs(self) -> Iterator[IExpr]:
@@ -201,23 +220,23 @@ class SLoop(Stmt):
         return f"{self.label or 'loop'}: for ({self.var} = {self.lb}; ...{self.ub}; step {self.step})"
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SWhile(Stmt):
     """Fallback loop form — executable, opaque to the analysis."""
 
     cond: IExpr
-    body: list[Stmt]
+    body: tuple[Stmt, ...]
     label: str = ""
     loc: Loc = field(default_factory=Loc.none)
 
-    def blocks(self) -> Iterator[list[Stmt]]:
+    def blocks(self) -> Iterator[tuple[Stmt, ...]]:
         yield self.body
 
     def exprs(self) -> Iterator[IExpr]:
         yield self.cond
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SCall(Stmt):
     call: ICall
     loc: Loc = field(default_factory=Loc.none)
@@ -226,7 +245,7 @@ class SCall(Stmt):
         yield self.call
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SReturn(Stmt):
     value: IExpr | None = None
     loc: Loc = field(default_factory=Loc.none)
@@ -236,12 +255,12 @@ class SReturn(Stmt):
             yield self.value
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SBreak(Stmt):
     loc: Loc = field(default_factory=Loc.none)
 
 
-@dataclass(slots=True)
+@_frozen_node
 class SContinue(Stmt):
     loc: Loc = field(default_factory=Loc.none)
 
@@ -251,17 +270,52 @@ class SContinue(Stmt):
 # --------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@_frozen_node
 class IRFunction:
     name: str
-    body: list[Stmt]
+    body: tuple[Stmt, ...]
     symtab: "SymbolTable"
+    # lazily filled caches, valid because the function is immutable
+    _text: "str | None" = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint: "str | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def text(self) -> str:
+        """The printed C text (``function_to_c(self)``), printed once."""
+        text = self._text
+        if text is None:
+            from repro.ir.printer import _print_function
+
+            text = _print_function(self)
+            object.__setattr__(self, "_text", text)
+        return text
+
+    @property
+    def fingerprint(self) -> str:
+        """Content digest of everything that determines how this
+        function lowers and runs: name, printed text, loop labels (not
+        part of the text) and symbol table.  Computed on first read;
+        the analysis path never reads it."""
+        fp = self._fingerprint
+        if fp is None:
+            h = hashlib.sha256()
+            for part in (
+                self.name,
+                self.text,
+                ",".join(l.label for l in self.loops()),
+                self.symtab.fingerprint(),
+            ):
+                h.update(part.encode("utf-8"))
+                h.update(b"\x00")
+            fp = h.hexdigest()
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
     def loops(self) -> list[SLoop]:
         """All normalized loops in pre-order."""
         out: list[SLoop] = []
 
-        def visit(stmts: list[Stmt]) -> None:
+        def visit(stmts: tuple[Stmt, ...]) -> None:
             for s in stmts:
                 if isinstance(s, SLoop):
                     out.append(s)
@@ -281,7 +335,7 @@ class IRFunction:
         """Loops not nested inside another normalized loop."""
         out: list[SLoop] = []
 
-        def visit(stmts: list[Stmt]) -> None:
+        def visit(stmts: tuple[Stmt, ...]) -> None:
             for s in stmts:
                 if isinstance(s, SLoop):
                     out.append(s)

@@ -3,9 +3,16 @@
 The parallelizer works on the IR, so the annotated program the pipeline
 emits is printed from IR.  Because lowering desugared ``++``/``--`` into
 explicit assignments, the output is plain (and still valid) C.
+
+The IR is immutable, so annotation is an overlay: ``pragmas`` maps a
+loop label to the ``omp`` pragma to print in place of the loop's own
+``omp`` pragmas.  Without an overlay, :func:`function_to_c` returns the
+function's cached text (:attr:`~repro.ir.nodes.IRFunction.text`).
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 from repro.ir.nodes import (
     IArrayRef,
@@ -54,17 +61,21 @@ def expr_to_c(e: IExpr, parent_prec: int = 0) -> str:
     raise TypeError(f"unprintable IR expression {e!r}")
 
 
-def stmt_to_c(s: Stmt, level: int = 0) -> str:
+def stmt_to_c(s: Stmt, level: int = 0, pragmas: Mapping[str, str] | None = None) -> str:
     pad = _INDENT * level
     if isinstance(s, SAssign):
         return f"{pad}{expr_to_c(s.target)} = {expr_to_c(s.value)};"
     if isinstance(s, SIf):
-        text = f"{pad}if ({expr_to_c(s.cond)}) {{\n" + block_to_c(s.then, level + 1) + f"\n{pad}}}"
+        text = f"{pad}if ({expr_to_c(s.cond)}) {{\n" + block_to_c(s.then, level + 1, pragmas) + f"\n{pad}}}"
         if s.other:
-            text += " else {\n" + block_to_c(s.other, level + 1) + f"\n{pad}}}"
+            text += " else {\n" + block_to_c(s.other, level + 1, pragmas) + f"\n{pad}}}"
         return text
     if isinstance(s, SLoop):
-        lines = [f"{pad}#pragma {p}" for p in s.pragmas]
+        own = s.pragmas
+        planned = pragmas.get(s.label) if pragmas else None
+        if planned is not None:
+            own = (*(p for p in own if not p.startswith("omp")), planned)
+        lines = [f"{pad}#pragma {p}" for p in own]
         cmp_op = "<" if s.step > 0 else ">"
         step_txt = (
             f"{s.var}++" if s.step == 1 else f"{s.var}--" if s.step == -1 else f"{s.var} += {s.step}"
@@ -72,13 +83,13 @@ def stmt_to_c(s: Stmt, level: int = 0) -> str:
         lines.append(
             f"{pad}for ({s.var} = {expr_to_c(s.lb)}; {s.var} {cmp_op} {expr_to_c(s.ub)}; {step_txt}) {{"
         )
-        lines.append(block_to_c(s.body, level + 1))
+        lines.append(block_to_c(s.body, level + 1, pragmas))
         lines.append(f"{pad}}}")
         return "\n".join(lines)
     if isinstance(s, SWhile):
         return (
             f"{pad}while ({expr_to_c(s.cond)}) {{\n"
-            + block_to_c(s.body, level + 1)
+            + block_to_c(s.body, level + 1, pragmas)
             + f"\n{pad}}}"
         )
     if isinstance(s, SCall):
@@ -92,14 +103,24 @@ def stmt_to_c(s: Stmt, level: int = 0) -> str:
     raise TypeError(f"unprintable IR statement {s!r}")
 
 
-def block_to_c(stmts: list[Stmt], level: int = 0) -> str:
+def block_to_c(
+    stmts: tuple[Stmt, ...], level: int = 0, pragmas: Mapping[str, str] | None = None
+) -> str:
     if not stmts:
         return _INDENT * level + ";"
-    return "\n".join(stmt_to_c(s, level) for s in stmts)
+    return "\n".join(stmt_to_c(s, level, pragmas) for s in stmts)
 
 
-def function_to_c(func: IRFunction) -> str:
-    """Emit a full C function definition from IR."""
+def function_to_c(func: IRFunction, pragmas: Mapping[str, str] | None = None) -> str:
+    """Emit a full C function definition from IR, with ``pragmas`` (loop
+    label -> planned ``omp`` pragma) overlaid on the loops they name."""
+    if not pragmas:
+        return func.text
+    return _print_function(func, pragmas)
+
+
+def _print_function(func: IRFunction, pragmas: Mapping[str, str] | None = None) -> str:
+    """Print ``func`` (uncached; :func:`function_to_c` is the entry point)."""
     from repro.frontend.printer import expr_to_c as ast_expr_to_c
 
     params = []
@@ -114,5 +135,5 @@ def function_to_c(func: IRFunction) -> str:
         elif not info.is_global:
             locals_.append(f"{_INDENT}{c_type} {info.name}{dims};")
     header = f"void {func.name}({', '.join(params) or 'void'}) {{"
-    body = block_to_c(func.body, 1)
+    body = block_to_c(func.body, 1, pragmas)
     return "\n".join([header, *locals_, body, "}"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -38,13 +38,36 @@ class VarInfo:
 @dataclass(slots=True)
 class SymbolTable:
     """Flat per-function (or global) table.  The mini-C subset has no
-    shadowing inside a function body (block-scoped decls are hoisted)."""
+    shadowing inside a function body (block-scoped decls are hoisted).
+
+    The builder freezes every table it returns (:meth:`freeze`): the
+    function fingerprint hashes the table, so a later declaration would
+    leave a cached fingerprint stale."""
 
     vars: dict[str, VarInfo] = field(default_factory=dict)
     parent: "SymbolTable | None" = None
+    frozen: bool = field(default=False, init=False, repr=False, compare=False)
 
     def declare(self, info: VarInfo) -> None:
+        if self.frozen:
+            raise FrozenInstanceError(
+                f"symbol table is frozen; cannot declare {info.name!r} after the build"
+            )
         self.vars[info.name] = info
+
+    def freeze(self) -> None:
+        """Refuse every later :meth:`declare`."""
+        self.frozen = True
+
+    def fingerprint(self) -> str:
+        """Every visible declaration (innermost wins), in name order."""
+        infos: dict[str, str] = {}
+        tab: SymbolTable | None = self
+        while tab is not None:
+            for name, info in tab.vars.items():
+                infos.setdefault(name, repr(info))
+            tab = tab.parent
+        return ";".join(f"{n}={infos[n]}" for n in sorted(infos))
 
     def lookup(self, name: str) -> VarInfo | None:
         if name in self.vars:

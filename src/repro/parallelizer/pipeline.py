@@ -57,5 +57,5 @@ def parallelize(
         func=func,
         analysis=analysis,
         plan=plan,
-        annotated_c=function_to_c(func),
+        annotated_c=function_to_c(func, plan.pragmas),
     )

@@ -6,8 +6,10 @@ paper's goal, inner parallelism is not pursued further), combine
 * the array verdict of the chosen dependence test, and
 * the scalar verdict of privatization/reduction analysis,
 
-into a :class:`LoopPlan`.  Plans that succeed annotate the IR loop with
-an ``omp parallel for`` pragma carrying the private/reduction clauses.
+into a :class:`LoopPlan`.  Plans that succeed carry an ``omp parallel
+for`` pragma with the private/reduction clauses; the annotated C prints
+them as an overlay (:attr:`ParallelizationPlan.pragmas`) — the IR
+itself is immutable and never written.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ class ParallelizationPlan:
     loops: dict[str, LoopPlan] = field(default_factory=dict)
 
     @property
+    def pragmas(self) -> dict[str, str]:
+        """Loop label -> pragma of every parallel loop, for
+        ``function_to_c(func, pragmas=...)``."""
+        return {l: p.pragma for l, p in self.loops.items() if p.parallel}
+
+    @property
     def parallel_loops(self) -> list[str]:
         return [l for l, p in self.loops.items() if p.parallel]
 
@@ -71,10 +79,9 @@ def plan_function(
     analysis: AnalysisResult | None = None,
     method: str = "extended",
     initial_env: PropertyEnv | None = None,
-    annotate: bool = True,
     nested: bool = False,
 ) -> ParallelizationPlan:
-    """Plan (and by default annotate) parallelization of every loop nest.
+    """Plan parallelization of every loop nest.
 
     ``nested=False`` (default) stops descending once a loop is parallel.
     """
@@ -86,8 +93,6 @@ def plan_function(
             if isinstance(s, SLoop):
                 loop_plan = plan_loop(func, s, result, method)
                 plan.loops[s.label] = loop_plan
-                if loop_plan.parallel and annotate:
-                    _annotate(s, loop_plan)
                 if not loop_plan.parallel or nested:
                     visit_loops(s.body)
             else:
@@ -178,9 +183,3 @@ def _pragma_text(scalars: PrivatizationResult) -> str:
     for name, op in scalars.reductions:
         parts.append(f"reduction({op}:{name})")
     return " ".join(parts)
-
-
-def _annotate(loop: SLoop, plan: LoopPlan) -> None:
-    assert plan.pragma is not None
-    existing = tuple(p for p in loop.pragmas if not p.startswith("omp"))
-    loop.pragmas = existing + (plan.pragma,)

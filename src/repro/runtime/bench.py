@@ -22,8 +22,11 @@ Reading ``BENCH_runtime.json``:
   ``speedup`` = interp/compiled, ``accesses_per_s`` = trace throughput;
 * ``kernels[*].execute`` — plain (untraced) execution, same layout,
   plus ``parallel_dispatches`` (fabric dispatches made by one parallel
-  ``execute``) and ``whole_array_only`` (every scheduled loop has a
-  whole-array plan — ``--check`` then demands zero dispatches);
+  ``execute``), ``whole_array_only`` (every scheduled loop has a
+  whole-array plan — ``--check`` then demands zero dispatches) and
+  ``parallel_lookup_us`` (median warm ``compile_parallel`` call, the
+  fixed price of finding the cached lowering — ``--check`` demands it
+  stay under 0.05x the kernel's ``compiled`` call);
 * ``fuzz_sweep`` — total seconds to oracle-check every loop of
   ``seeds`` random kernels per engine;
 * ``parallel_dispatch_overhead_us`` — cold vs warm cost of one
@@ -46,6 +49,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -283,12 +287,12 @@ def measure_inspector_overhead(
     same size — the amortization story of the paper's Related-Work
     head-to-head, measured."""
     from repro.runtime import inspector
-    from repro.runtime.parallel import _function_fingerprint
+    from repro.runtime.parallel import compile_parallel
 
     func = build_function(_CSR_INPUT_SRC)
     loop = next(lp for lp in func.loops() if lp.label == "L1")
     env = _csr_input_env(size)
-    fp = _function_fingerprint(func)
+    fp = compile_parallel(func, tier="hybrid").fingerprint  # the engine's memo key
     lb, m = 0, size
 
     inspector._INSPECT_CACHE.clear()
@@ -404,6 +408,20 @@ def _parallel_dispatches(func: Any, env: dict[str, Any]) -> tuple[int, bool]:
     return dispatches, all(sl.vec is not None for sl in scheduled)
 
 
+def _lookup_us(func: Any, calls: int = 201) -> float:
+    """Median warm :func:`compile_parallel` call (µs): what every
+    ``engine="parallel"`` call pays to find its cached lowering."""
+    from repro.runtime.parallel import compile_parallel
+
+    compile_parallel(func)
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        compile_parallel(func)
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1e6, 2)
+
+
 def run_runtime_bench(
     size: int = 20000,
     repeats: int = 3,
@@ -477,6 +495,7 @@ def run_runtime_bench(
             entry["execute"]["parallel_dispatches"],
             entry["execute"]["whole_array_only"],
         ) = _parallel_dispatches(func, env_builder(size))
+        entry["execute"]["parallel_lookup_us"] = _lookup_us(func)
         entry["engines_agree"] = all(
             reports[e].independent == i.independent
             and reports[e].accesses == i.accesses
@@ -555,9 +574,10 @@ def _fuzz_sweep(seeds: int) -> dict[str, Any]:
 def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]:
     """CI gate: the compiled engine must beat the interpreter on every
     kernel (generous threshold — a real regression, not noise), the
-    engines must agree on every verdict, and a kernel whose every
+    engines must agree on every verdict, a kernel whose every
     scheduled loop has a whole-array plan must make no fabric
-    dispatch."""
+    dispatch, and the warm parallel lookup must stay under 0.05x the
+    kernel's compiled call."""
     problems: list[str] = []
     for entry in doc["kernels"]:
         if entry["oracle"]["speedup"] <= min_speedup:
@@ -574,6 +594,14 @@ def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]
             problems.append(
                 f"{entry['name']}: {ex['parallel_dispatches']} fabric dispatch(es) "
                 f"although every scheduled loop has a whole-array plan"
+            )
+        lookup = ex.get("parallel_lookup_us")
+        if lookup is not None and lookup > 0.05 * ex["compiled"]["seconds"] * 1e6:
+            # relative, so it holds on any host: a warm lookup hashes
+            # nothing the IR already fingerprinted
+            problems.append(
+                f"{entry['name']}: warm parallel lookup {lookup}us > 0.05x the "
+                f"compiled call ({ex['compiled']['seconds'] * 1e6:.0f}us)"
             )
     if not doc["fuzz_sweep"]["verdicts_agree"]:
         problems.append("fuzz sweep: engine verdicts disagree")

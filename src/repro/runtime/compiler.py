@@ -997,19 +997,32 @@ class CompiledFunction:
         return env
 
 
-_CACHE: dict[int, tuple[IRFunction, CompiledFunction]] = {}
+# Content-addressed: keyed by the IR's own fingerprint, so the same
+# source re-parsed into a new IR object hits.  Registered as a memo
+# table so cold benchmarks stay honest.
+_CACHE: dict[str, CompiledFunction] = {}
 _CACHE_LIMIT = 256
 
 
+def _register_cache() -> None:
+    from repro.symbolic.expr import register_memo_table
+
+    register_memo_table("compiler.functions", _CACHE.__len__, _CACHE.clear)
+
+
+_register_cache()
+
+
 def compile_function(func: IRFunction) -> CompiledFunction:
-    """Lower ``func`` to closures (memoized per function object)."""
-    hit = _CACHE.get(id(func))
-    if hit is not None and hit[0] is func:
-        return hit[1]
+    """Lower ``func`` to closures (memoized by :attr:`IRFunction.fingerprint`)."""
+    key = func.fingerprint
+    hit = _CACHE.get(key)
+    if hit is not None:
+        return hit
     compiled = CompiledFunction(func)
     if len(_CACHE) >= _CACHE_LIMIT:
         _CACHE.clear()
-    _CACHE[id(func)] = (func, compiled)
+    _CACHE[key] = compiled
     return compiled
 
 

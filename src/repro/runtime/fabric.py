@@ -177,7 +177,9 @@ class ShmArena:
 
 _WORKER_CACHE_LIMIT = 256
 
-#: (fingerprint, label) -> (chunk runner, private names)
+#: (ParallelFunction.fingerprint, label) -> (chunk runner, private
+#: names); never the IR-only fingerprint — two assertion sets can give
+#: one label different privates or reductions
 _WORKER_CLOSURES: dict[tuple, tuple] = {}
 #: segment name -> attached SharedMemory (segments are recycled under a
 #: stable name, so an attachment stays valid for the arena's lifetime)

@@ -15,10 +15,12 @@ reproduces that head-to-head honestly by making the inspector *cheap*:
   concrete values, injectivity is the distinct-subscripts refutation,
   the ``np.diff`` monotone fast path is the paper's monotonicity
   property.
-* Results are **content-addressed** by ``(function fingerprint, loop
-  label, index-array byte fingerprint)`` and registered as a memo table
-  (``runtime.inspections``), so the steady-state cost of the common CSR
-  case — same sparsity structure call after call — is one hash.
+* Results are **content-addressed** by ``(ParallelFunction.fingerprint,
+  loop label, index-array byte fingerprint)`` and registered as a memo
+  table (``runtime.inspections``), so the steady-state cost of the
+  common CSR case — same sparsity structure call after call — is one
+  hash.  The fingerprint covers the planner assertions, which can
+  change a label's schedule.
 
 A passing inspection lets the parallel engine dispatch the loop through
 a validated :class:`~repro.parallelizer.schedule.ParallelSchedule`

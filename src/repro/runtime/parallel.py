@@ -94,12 +94,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import multiprocessing
+import operator
 import os
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.analysis.domains import default_domains
 from repro.errors import InfrastructureError, InterpreterError, ReproError
 from repro.ir.nodes import IRFunction, IVar, SAssign, SLoop
 from repro.parallelizer.planner import plan_function
@@ -625,28 +627,37 @@ class _ParRun:
 # --------------------------------------------------------------------------
 
 
-def _function_fingerprint(func: IRFunction, assertions=None) -> str:
-    """Content fingerprint of everything that determines the lowered
-    parallel form: the pass-pipeline identity (PR 6's recipe — a domain
-    version bump must invalidate cached schedules), the printed IR
-    text, the loop labels (not part of the printed text), the symbol
-    table, and the planner's initial assertions."""
-    from repro.analysis.domains import default_domains
-    from repro.analysis.framework import _symtab_fingerprint, pipeline_identity
-    from repro.ir import function_to_c
+#: the default pass pipeline, built once.  Its identity is read per
+#: call, through each domain class's ``name`` and ``version`` (a version
+#: bump must invalidate cached schedules), without rebuilding the
+#: domains on the warm path.
+_DOMAINS = tuple(default_domains())
+_DOMAIN_ID = operator.attrgetter("name", "version")
 
-    h = hashlib.sha256()
-    for part in (
-        pipeline_identity(default_domains()),
-        func.name,
-        function_to_c(func),
-        ",".join(l.label for l in func.loops()),
-        _symtab_fingerprint(func),
+
+def _content_key(func: IRFunction, assertions=None) -> tuple:
+    """Everything that determines the lowered parallel form: the
+    pass-pipeline identity (each domain's name and version), the IR's
+    own fingerprint (computed once per function) and the planner's
+    initial assertions.  The pipeline identity and the assertion
+    fingerprint are read per call — a :class:`PropertyEnv` is mutable."""
+    return (
+        tuple(map(_DOMAIN_ID, _DOMAINS)),
+        func.fingerprint,
         assertions.fingerprint() if assertions is not None else "",
-    ):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    )
+
+
+def _digest(content: tuple) -> str:
+    return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
+
+
+def _function_fingerprint(func: IRFunction, assertions=None) -> str:
+    """Digest of :func:`_content_key`.  It is
+    :attr:`ParallelFunction.fingerprint`, which keys inspections and
+    fabric worker closures, so two assertion sets never share a loop's
+    schedule."""
+    return _digest(_content_key(func, assertions))
 
 
 class ParallelFunction:
@@ -657,14 +668,16 @@ class ParallelFunction:
         self,
         func: IRFunction,
         assertions=None,
-        fingerprint: "str | None" = None,
         tier: str = "static",
+        content: "tuple | None" = None,
     ) -> None:
         self.func = func
         self.tier = tier
-        self.fingerprint = fingerprint or _function_fingerprint(func, assertions)
+        if content is None:
+            content = _content_key(func, assertions)
+        self.fingerprint = _digest(content)
         plan = plan_function(
-            func, method="extended", initial_env=assertions, annotate=False
+            func, method="extended", initial_env=assertions
         )
         loops_by_label = {l.label: l for l in func.loops()}
         #: every derived schedule, executable or not — invalid ones keep
@@ -730,13 +743,10 @@ class ParallelFunction:
         #: what a fabric worker needs to rebuild (and cache) each
         #: scheduled loop's chunk closure: content key + source text +
         #: schedule summary, prepended to every task tuple
-        from repro.ir import function_to_c
-
-        source_text = function_to_c(func)
         self.task_headers: dict[str, tuple] = {
             lbl: (
                 (self.fingerprint, lbl),
-                source_text,
+                func.text,
                 func.name,
                 lbl,
                 sl.sched.summary(),
@@ -787,15 +797,12 @@ class ParallelFunction:
         return env
 
 
-# Content-addressed schedule + closure cache: keyed by the same
-# fingerprint recipe PR 6 uses for nest summaries plus the dispatch
-# tier, so an edited function, a different symbol table, different
-# planner assertions, a pass-pipeline version bump, or a tier switch
-# each miss — while the same source re-parsed into a *new* IR object
-# still hits (the old id()-keyed cache missed there, re-lowering on
-# every ``execute`` in service traffic).
-# Registered as a memo table so cold benchmarks stay honest.
-_PF_CACHE: dict[tuple[str, str], ParallelFunction] = {}
+# Content-addressed schedule + closure cache: keyed by
+# :func:`_content_key` plus the dispatch tier, so an edited function, a
+# different symbol table, different planner assertions, a pass-pipeline
+# version bump, or a tier switch each miss — while the same source
+# re-parsed into a *new* IR object still hits.  Registered as a memo table so cold benchmarks stay honest.
+_PF_CACHE: dict[tuple, ParallelFunction] = {}
 _PF_CACHE_LIMIT = 256
 
 
@@ -814,16 +821,15 @@ def compile_parallel(
     func: IRFunction, assertions=None, tier: str = "static"
 ) -> ParallelFunction:
     """Plan + schedule + lower ``func`` for the given dispatch ``tier``
-    (memoized by content fingerprint × tier — see
-    :func:`_function_fingerprint`)."""
+    (memoized by content × tier — see :func:`_content_key`)."""
     if tier not in TIERS:
         raise ValueError(f"unknown dispatch tier {tier!r}; expected one of {TIERS}")
-    fp = _function_fingerprint(func, assertions)
-    key = (fp, tier)
+    content = _content_key(func, assertions)
+    key = (content, tier)
     hit = _PF_CACHE.get(key)
     if hit is not None:
         return hit
-    pf = ParallelFunction(func, assertions, fingerprint=fp, tier=tier)
+    pf = ParallelFunction(func, assertions, tier=tier, content=content)
     if len(_PF_CACHE) >= _PF_CACHE_LIMIT:
         _PF_CACHE.clear()
     _PF_CACHE[key] = pf

@@ -148,6 +148,40 @@ class TestCli:
         assert "x " in out or "x|" in out.replace(" ", "")
         assert "x-2" in out
 
+    def test_batch_unreadable_file_is_one_error_row(self, fig9_file, tmp_path, capsys):
+        import json
+
+        missing = str(tmp_path / "gone.c")
+        binary = tmp_path / "bin.c"
+        binary.write_bytes(b"\xff\xfe\x00 not utf-8")
+        argv = ["batch", missing, fig9_file, str(binary), "--quiet", "--json", "-"]
+        assert main(argv) == 1
+        rows = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert sorted(rows) == ["bin", "fig9", "gone"]
+        assert rows["fig9"]["parallel_loops"] == ["L3"]  # the others still run
+        assert rows["gone"]["error"].startswith(f"cannot read {missing}: ")
+        assert rows["bin"]["error"].startswith("cannot read ")
+        for name in ("gone", "bin"):  # same keys as every other error row
+            assert rows[name]["cache_key"] is None
+            assert rows[name]["function"] is None
+        assert main(["batch", missing]) == 1
+        assert "ERROR: cannot read" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parallelize", "{f}"],
+            ["analyze", "{f}"],
+            ["explain", "L1", "{f}"],
+            ["inspect", "L1", "{f}"],
+        ],
+    )
+    def test_unreadable_file_is_a_one_line_error(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "gone.c")
+        assert main([a.format(f=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {missing}: No such file or directory\n"
+
     def test_bench_analysis_json_and_check(self, tmp_path, capsys):
         import json
 
@@ -184,6 +218,7 @@ class TestCli:
             "ranges.subst",
             "compare.prover",
             "framework.nest",
+            "compiler.functions",
             "parallel.functions",
             "runtime.inspections",
         }

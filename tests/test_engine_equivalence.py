@@ -204,7 +204,7 @@ class TestHybridTierEquivalence:
         the hybrid tier's candidate set."""
         from repro.parallelizer.planner import plan_function
 
-        plan = plan_function(func, method="extended", annotate=False)
+        plan = plan_function(func, method="extended")
         return [
             lbl
             for lbl, lp in plan.loops.items()
@@ -369,7 +369,7 @@ class TestHybridTierEquivalence:
 
         rk = disjoint_sharing_kernel(seed)
         func = build_function(rk.source)
-        plan = plan_function(func, method="extended", annotate=False)
+        plan = plan_function(func, method="extended")
         unknown = self._hybrid_candidates(func)
         shared_writers = [
             lbl

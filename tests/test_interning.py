@@ -142,6 +142,7 @@ class TestMemoHygiene:
         "ranges.subst",
         "compare.prover",
         "framework.nest",
+        "compiler.functions",
         "parallel.functions",
         "runtime.inspections",
     }

@@ -239,7 +239,7 @@ class TestPrivatization:
 class TestScheduleValidation:
     def test_serial_plan_is_a_problem(self):
         func = build_function(CARRIED_SRC)
-        plan = plan_function(func, annotate=False)
+        plan = plan_function(func)
         (loop,) = func.loops()
         sched = derive_schedule(loop, plan.loops["L1"], func.symtab)
         assert not sched.ok
@@ -259,7 +259,7 @@ class TestScheduleValidation:
         }
         """
         func = build_function(src)
-        plan = plan_function(func, annotate=False)
+        plan = plan_function(func)
         (loop,) = func.loops()
         sched = derive_schedule(loop, plan.loops["L1"], func.symtab)
         assert not sched.ok and any("break" in p for p in sched.problems)
